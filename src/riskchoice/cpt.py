@@ -6,15 +6,19 @@ losses; the weighting function is w(p) = exp(-(-ln p)^gamma). A scenario's
 risky option is valued at w(p) v(R), the safe option at v(S), and the choice
 probability is the logistic transform of eta times their difference.
 
-Estimation runs a derivative-free simplex search from multiple random start
-points in an unconstrained reparameterization (logit-type transforms for the
-box-bounded shape parameters, log transforms for the positive ones), so every
-visited point maps inside the constraint box. Standard errors come from the
-observed Fisher information, a finite-difference Hessian of the total
-log-likelihood in the original coordinates. Parameters the data carry no
-information about (a zero row of the information matrix) get no standard
-error rather than a fabricated one; gain-only payoffs leave beta and lambda
-in exactly that position because the loss branch is never evaluated.
+Estimation runs L-BFGS-B from multiple random start points in an
+unconstrained reparameterization (logit-type transforms for the box-bounded
+shape parameters, log transforms for the positive ones), so every visited
+point maps inside the constraint box. The mean negative log-likelihood and its
+analytic gradient with respect to (alpha, beta, lambda, gamma, eta) come from
+one pass over the data; the gradient is chained through the transforms.
+Standard errors come from the observed Fisher information, central
+differences of that analytic gradient in the original coordinates. Parameters
+the data carry no information about (a zero row of the information matrix)
+get no standard error rather than a fabricated one; gain-only payoffs leave
+beta and lambda in exactly that position because the loss branch is never
+evaluated: their gradient components are exactly zero, so the optimizer never
+moves them from their start values.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ DEFAULT_GAMMA_MAX = 5.0
 DEFAULT_RESTARTS = 20
 DEFAULT_FIT_SEED = 7
 
-# simplex search budget per restart
-_NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000, "maxfev": 12000}
+# L-BFGS-B stopping rule per restart: the gradient max-norm of the mean
+# negative log-likelihood in unconstrained coordinates falls to gtol, or its
+# relative decrease per iteration falls to rounding level
+_LBFGS_OPTIONS = {"gtol": 1e-9, "ftol": 1e-15}
 
-# relative step for the finite-difference observed information
+# relative step for the central differences of the gradient that give the
+# observed information
 _FD_REL_STEP = 1e-4
 
 _DEFAULT_X_GRID = (-100.0, 150.0, 251)
@@ -133,60 +140,147 @@ def cpt_log_likelihood(params: CptParams, scenarios) -> float:
 
 
 class _Prepared:
-    """Dataset preprocessed for repeated likelihood evaluation.
+    """Dataset preprocessed for repeated likelihood and gradient evaluation.
 
-    Power terms are evaluated as exp(a * log x) on precomputed logs, which is
-    what the simplex search spends nearly all its time on. Evaluation is
-    total: parameter vectors slightly outside the constraint box (as visited
-    by finite differences at a near-boundary optimum) still get a value.
+    Rows are reordered once so that rows sharing a (risky sign, safe sign)
+    pair form one contiguous block. Within a block each payoff takes a single
+    branch of the value function, so every power term is one exp(a * log|x|)
+    over a slice, with no boolean-mask gather or scatter; gain-only data is a
+    single block. The likelihood is a sum over rows, so the order changes it
+    only by summation rounding. Evaluation is total: parameter vectors
+    slightly outside the constraint box (as visited by finite differences at
+    a near-boundary optimum) still get a value.
     """
 
     def __init__(self, arrays: ScenarioArrays):
         if np.any(arrays.p <= 0.0) or np.any(arrays.p >= 1.0):
             raise InputError("win probabilities must lie strictly in (0, 1)")
         self.n = len(arrays)
-        self.sign = 1.0 - 2.0 * arrays.choice.astype(float)
-        self.loglogp = np.log(-np.log(arrays.p))
+        risky_sign = np.sign(arrays.risky).astype(np.int64)
+        safe_sign = np.sign(arrays.safe).astype(np.int64)
+        order = np.argsort(3 * risky_sign + safe_sign, kind="stable")
+        risky_sign = risky_sign[order]
+        safe_sign = safe_sign[order]
+        changes = (np.diff(risky_sign) != 0) | (np.diff(safe_sign) != 0)
+        edges = [0, *(np.flatnonzero(changes) + 1).tolist(), self.n]
+        # (rows, risky sign, safe sign) for each block
+        self.blocks = tuple(
+            (slice(lo, hi), int(risky_sign[lo]), int(safe_sign[lo]))
+            for lo, hi in zip(edges[:-1], edges[1:])
+            if hi > lo
+        )
 
-        risky = arrays.risky
-        safe = arrays.safe
-        self.r_pos = risky > 0.0
-        self.r_neg = risky < 0.0
-        self.s_pos = safe > 0.0
-        self.s_neg = safe < 0.0
-        self.log_r_pos = np.log(risky[self.r_pos])
-        self.log_r_neg = np.log(-risky[self.r_neg])
-        self.log_s_pos = np.log(safe[self.s_pos])
-        self.log_s_neg = np.log(-safe[self.s_neg])
-        self.has_loss = bool(self.r_neg.any() or self.s_neg.any())
+        self.sign = (1.0 - 2.0 * arrays.choice.astype(float))[order]
+        self.loglogp = np.log(-np.log(arrays.p[order]))
+        with np.errstate(divide="ignore"):
+            # log 0 = -inf is never read: zero payoffs take the zero branch
+            self.log_abs_risky = np.log(np.abs(arrays.risky[order]))
+            self.log_abs_safe = np.log(np.abs(arrays.safe[order]))
 
-    def _latent(self, theta) -> np.ndarray:
+    def _latent_parts(self, theta):
+        """Per row: (-ln p)^gamma, w(p), v(R), v(S), d = w(p) v(R) - v(S), and
+        the signed latent sign * eta * d, whose softplus is the row's term."""
         alpha, beta, lam, gamma, eta = theta
-        v_risky = np.zeros(self.n)
-        v_risky[self.r_pos] = np.exp(alpha * self.log_r_pos)
-        if self.r_neg.any():
-            v_risky[self.r_neg] = -lam * np.exp(beta * self.log_r_neg)
-        v_safe = np.zeros(self.n)
-        v_safe[self.s_pos] = np.exp(alpha * self.log_s_pos)
-        if self.s_neg.any():
-            v_safe[self.s_neg] = -lam * np.exp(beta * self.log_s_neg)
-        w = np.exp(-np.exp(gamma * self.loglogp))
-        return eta * (w * v_risky - v_safe)
+        q = np.exp(gamma * self.loglogp)
+        w = np.exp(-q)
+        v_risky = np.empty(self.n)
+        v_safe = np.empty(self.n)
+        for rows, rs, ss in self.blocks:
+            _branch_value(rs, self.log_abs_risky[rows], alpha, beta, lam, v_risky[rows])
+            _branch_value(ss, self.log_abs_safe[rows], alpha, beta, lam, v_safe[rows])
+        diff = w * v_risky
+        diff -= v_safe
+        signed = diff * eta
+        signed *= self.sign
+        return q, w, v_risky, v_safe, diff, signed
 
     def neg_mean_ll(self, theta) -> float:
         """Negative per-observation log-likelihood; +inf when evaluation
         breaks down numerically (the minimizer then backs away)."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            z = self._latent(theta)
-            terms = np.logaddexp(0.0, self.sign * z)
-            total = float(np.sum(terms))
+            total, _ = _softplus_sum(self._latent_parts(theta)[-1])
         if not np.isfinite(total):
             return np.inf
         return total / self.n
 
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        """neg_mean_ll and its gradient in (alpha, beta, lambda, gamma, eta).
+
+        Where the value is +inf the gradient is NaN. A component whose
+        branch no row evaluates (beta and lambda on gain-only data) is
+        exactly 0.0.
+        """
+        lam, eta = theta[2], theta[4]
+        grad = np.zeros(5)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            q, w, v_risky, v_safe, diff, signed = self._latent_parts(theta)
+            total, e = _softplus_sum(signed)
+            if not np.isfinite(total):
+                return np.inf, np.full(5, np.nan)
+            # derivative of each row's term with respect to eta * d:
+            # sign * expit(signed), with expit formed from the same e
+            dz = np.where(signed >= 0.0, 1.0, e)
+            e += 1.0
+            dz /= e
+            dz *= self.sign
+            # each value times the derivative of the row's term with respect
+            # to that value
+            dv_risky = dz * eta
+            dv_risky *= w
+            dv_risky *= v_risky
+            dv_safe = dz * -eta
+            dv_safe *= v_safe
+            for rows, rs, ss in self.blocks:
+                _add_branch_grad(grad, rs, dv_risky[rows], self.log_abs_risky[rows], lam)
+                _add_branch_grad(grad, ss, dv_safe[rows], self.log_abs_safe[rows], lam)
+            # dw/dgamma = -w q ln(-ln p)
+            q *= dv_risky
+            grad[3] = -_dot(q, self.loglogp)
+            grad[4] = _dot(dz, diff)
+        return total / self.n, grad / self.n
+
     def total_ll(self, theta) -> float:
         v = self.neg_mean_ll(theta)
         return float(-v * self.n)
+
+
+def _softplus_sum(signed) -> tuple[float, np.ndarray]:
+    """Sum of log(1 + exp(signed)), and e = exp(-|signed|) for reuse. This is
+    the stable form np.logaddexp(0, signed) evaluates, without its slow
+    per-element scalar loop."""
+    e = np.abs(signed)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return float(np.sum(np.maximum(signed, 0.0)) + np.sum(np.log1p(e))), e
+
+
+def _dot(a, b) -> float:
+    # einsum's own loop, not BLAS ddot: waking a threaded BLAS for each
+    # block's product costs more than the product at these sizes, and its
+    # partial sums would depend on the BLAS thread count
+    return float(np.einsum("i,i->", a, b))
+
+
+def _branch_value(sign: int, log_abs, alpha, beta, lam, out) -> None:
+    """Write v(x) for payoffs of one sign into out, given log|x|."""
+    if sign > 0:
+        np.exp(alpha * log_abs, out=out)
+    elif sign < 0:
+        np.exp(beta * log_abs, out=out)
+        out *= -lam
+    else:
+        out[:] = 0.0
+
+
+def _add_branch_grad(grad, sign: int, dv, log_abs, lam) -> None:
+    """Add one block's payoffs to the gradient. dv holds each value v(x)
+    times the derivative of the row's term with respect to v(x); then
+    dv/d(exponent) = v log|x| and dv/dlambda = v / lambda on losses."""
+    if sign > 0:
+        grad[0] += _dot(dv, log_abs)
+    elif sign < 0:
+        grad[1] += _dot(dv, log_abs)
+        grad[2] += dv.sum() / lam
 
 
 def _to_unconstrained(theta, gamma_max: float) -> np.ndarray:
@@ -214,9 +308,26 @@ def _from_unconstrained(t, gamma_max: float) -> np.ndarray:
     )
 
 
+def _from_unconstrained_jacobian(t, gamma_max: float) -> np.ndarray:
+    """Diagonal of the Jacobian of _from_unconstrained at t."""
+    return np.array(
+        [
+            expit(t[0]) * expit(-t[0]),
+            expit(t[1]) * expit(-t[1]),
+            np.exp(t[2]),
+            gamma_max * expit(t[3]) * expit(-t[3]),
+            np.exp(t[4]),
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class RestartRecord:
-    """One simplex-search restart: where it started and where it ended."""
+    """One L-BFGS-B restart: where it started and where it ended.
+
+    ``n_evals`` counts evaluations of the likelihood value together with its
+    gradient; ``converged`` is the optimizer's own success flag.
+    """
 
     index: int
     seed: int
@@ -273,28 +384,19 @@ class CptFit:
 
 
 def _observed_information(prep: _Prepared, theta: np.ndarray) -> np.ndarray:
-    """Negative Hessian of the total log-likelihood at theta, by central
-    finite differences in the original coordinates."""
+    """Negative Hessian of the total log-likelihood at theta: central
+    differences of the analytic gradient in the original coordinates,
+    symmetrised."""
     k = theta.shape[0]
     h = _FD_REL_STEP * np.maximum(np.abs(theta), 1.0)
-    hess = np.zeros((k, k))
-    f0 = prep.total_ll(theta)
-
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        f_plus = prep.total_ll(theta + ei)
-        f_minus = prep.total_ll(theta - ei)
-        hess[i, i] = (f_plus - 2.0 * f0 + f_minus) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            f_pp = prep.total_ll(theta + ei + ej)
-            f_pm = prep.total_ll(theta + ei - ej)
-            f_mp = prep.total_ll(theta - ei + ej)
-            f_mm = prep.total_ll(theta - ei - ej)
-            hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
-    return -hess
+    hess = np.empty((k, k))
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = h[j]
+        _, g_plus = prep.value_and_grad(theta + e)
+        _, g_minus = prep.value_and_grad(theta - e)
+        hess[:, j] = (g_plus - g_minus) / (2.0 * h[j])
+    return prep.n * 0.5 * (hess + hess.T)
 
 
 def _standard_errors(info: np.ndarray) -> tuple[tuple[float | None, ...], bool]:
@@ -335,14 +437,15 @@ def fit_cpt(
 
     Each restart draws a start point uniformly over a box of canonical
     parameter values, maps it to unconstrained coordinates, and runs
-    Nelder-Mead there. The best final log-likelihood wins; exact ties go to
-    the lowest restart index, so the result is a pure function of
-    (data, n_restarts, seed, gamma_max).
+    L-BFGS-B there on the analytic gradient. The best final log-likelihood
+    wins; exact ties go to the lowest restart index, so the result is a pure
+    function of (data, n_restarts, seed, gamma_max).
 
     Raises
     ------
     EstimationError
-        If no restart converges; the error carries the restart log.
+        If no restart converges, or the best one ends at coordinates that map
+        to a non-finite parameter; the error carries the restart log.
     """
     arrays = scenarios if isinstance(scenarios, ScenarioArrays) else as_arrays(scenarios)
     if n_restarts < 1:
@@ -353,7 +456,11 @@ def fit_cpt(
     prep = _Prepared(arrays)
 
     def objective(t):
-        return prep.neg_mean_ll(_from_unconstrained(t, gamma_max))
+        # a line-search trial step far out in t can overflow exp; the value
+        # is then +inf and L-BFGS-B shortens the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = prep.value_and_grad(_from_unconstrained(t, gamma_max))
+            return value, grad * _from_unconstrained_jacobian(t, gamma_max)
 
     restart_seeds = np.random.SeedSequence(seed).generate_state(n_restarts)
     gamma_hi = min(2.0, gamma_max)
@@ -375,8 +482,9 @@ def fit_cpt(
         res = minimize(
             objective,
             _to_unconstrained(start, gamma_max),
-            method="Nelder-Mead",
-            options=_NM_OPTIONS,
+            method="L-BFGS-B",
+            jac=True,
+            options=_LBFGS_OPTIONS,
         )
         results.append(res)
         records.append(
@@ -401,9 +509,16 @@ def fit_cpt(
             best_idx = idx
     best = results[best_idx]
 
-    theta = _from_unconstrained(best.x, gamma_max)
-    # the transforms keep iterates inside the open box, but a simplex walking
-    # far into a flat direction can underflow a coordinate to exactly 0
+    with np.errstate(over="ignore"):
+        theta = _from_unconstrained(best.x, gamma_max)
+    if not np.all(np.isfinite(theta)):
+        raise EstimationError(
+            f"best restart {best_idx} ended at non-finite parameters "
+            f"{dict(zip(PARAM_NAMES, theta.tolist()))}",
+            restart_log=records,
+        )
+    # the transforms keep iterates inside the open box, but a coordinate
+    # driven far into a flat direction can underflow to exactly 0
     theta = np.maximum(theta, 1e-300)
     params = CptParams(
         alpha=min(float(theta[0]), 1.0),

@@ -150,7 +150,7 @@ def test_c4_gradient_correctness():
         worst = max(worst, rel)
     logistic_ok = worst < 1e-6
 
-    # stationarity of each returned simplex-search optimum, checked in the
+    # stationarity of each returned optimum, checked in the
     # unconstrained coordinates the optimizer works in
     fits = [
         (simulate_cpt(CptParams(alpha=0.65, beta=0.75, lam=1.8, gamma=0.9, eta=0.3), 2500, 21), 5),

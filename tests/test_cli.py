@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, generate_dataset, latent_utility
+from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, generate_dataset, latent_utility
 from riskchoice.cli import main
 from riskchoice.features import SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
@@ -202,6 +203,36 @@ class TestExperiment:
         assert doc["config"]["generator"]["n"] == 320
         assert doc["config"]["generator"]["seed"] == 8
         assert len((out_b / "dataset.csv").read_text().splitlines()) == 321
+
+    def test_gain_only_cpt_fit_stays_finite(self, tmp_path):
+        # gain-only data leaves lambda unidentified; on this dataset a search
+        # that moved it drifted until exp overflowed and the run exited 2
+        code = run_cli(
+            "experiment", "--n", "5000", "--seed", "1000074", "--restarts", "5",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        fit = json.loads((tmp_path / "report.json").read_text())["models"]["cpt"]["fit"]
+        assert all(np.isfinite(fit[name]) for name in ("alpha", "beta", "lambda", "gamma", "eta"))
+        assert fit["std_errors"]["beta"] is None
+        assert fit["std_errors"]["lambda"] is None
+        assert fit["information_singular"] is True
+
+    def test_non_finite_cpt_optimum_is_numerical_error(self, tmp_path, monkeypatch):
+        def diverged(fun, x0, **kwargs):
+            x = np.array(x0, dtype=float)
+            x[2] = 1e4  # lambda = exp(1e4) overflows to inf
+            return OptimizeResult(x=x, fun=0.5, success=True, nfev=1)
+
+        monkeypatch.setattr(cpt, "minimize", diverged)
+        code = run_cli(
+            "experiment", "--n", "300", "--restarts", "2", "--no-svg", "--out", str(tmp_path)
+        )
+        assert code == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["partial"] is True
+        assert report["failed_stage"] == "fit_cpt"
+        assert "non-finite" in report["error"]
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskchoice import (
     CptParams,
@@ -15,7 +17,7 @@ from riskchoice import (
     value,
     weight,
 )
-from riskchoice.cpt import PARAM_NAMES, value_array, weight_array
+from riskchoice.cpt import PARAM_NAMES, _Prepared, value_array, weight_array
 from riskchoice.scenario import Scenario, ScenarioArrays
 
 IDENTITY = CptParams(alpha=1.0, beta=1.0, lam=1.0, gamma=1.0, eta=1.0)
@@ -171,6 +173,15 @@ class TestLogLikelihood:
             )
             assert cpt_log_likelihood(params, arrays) == pytest.approx(naive, rel=1e-10)
 
+    def test_zero_payoffs_match_naive_per_row_product(self):
+        for mixed in (False, True):
+            arrays = with_zero_payoffs(simulate(TRUE, 60, seed=14, mixed_sign=mixed))
+            probs = choice_prob_array(arrays, CURVED)
+            naive = float(
+                np.sum(np.where(arrays.choice == 1, np.log(probs), np.log(1 - probs)))
+            )
+            assert cpt_log_likelihood(CURVED, arrays) == pytest.approx(naive, rel=1e-10)
+
     def test_truth_beats_local_perturbations(self):
         arrays = simulate(TRUE, 20_000, seed=4, mixed_sign=True)
         base = cpt_log_likelihood(TRUE, arrays)
@@ -183,6 +194,60 @@ class TestLogLikelihood:
                     continue
                 worse = cpt_log_likelihood(CptParams(*bumped), arrays)
                 assert worse < base, f"param {PARAM_NAMES[i]} factor {factor}"
+
+
+def with_zero_payoffs(arrays):
+    """Copy of arrays with some payoffs set to exactly 0 (the zero branch)."""
+    safe = arrays.safe.copy()
+    risky = arrays.risky.copy()
+    safe[::7] = 0.0
+    risky[::11] = 0.0
+    return ScenarioArrays(
+        id=arrays.id, safe=safe, risky=risky, p=arrays.p, frame=arrays.frame, choice=arrays.choice
+    )
+
+
+GRADIENT_DATA = {
+    "gain_only": _Prepared(simulate(TRUE, 400, seed=12)),
+    "mixed_sign": _Prepared(with_zero_payoffs(simulate(TRUE, 400, seed=13, mixed_sign=True))),
+}
+
+interior_params = st.tuples(
+    st.floats(0.2, 0.95),
+    st.floats(0.2, 0.95),
+    st.floats(0.3, 4.0),
+    st.floats(0.2, 3.0),
+    st.floats(0.02, 0.8),
+)
+
+
+class TestGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(theta=interior_params, data=st.sampled_from(sorted(GRADIENT_DATA)))
+    def test_matches_central_differences(self, theta, data):
+        prep = GRADIENT_DATA[data]
+        theta = np.array(theta)
+        value, grad = prep.value_and_grad(theta)
+        assert value == prep.neg_mean_ll(theta)
+        fd = np.empty(5)
+        for j in range(5):
+            step = np.zeros(5)
+            step[j] = 1e-5 * max(1.0, abs(theta[j]))
+            fd[j] = (prep.neg_mean_ll(theta + step) - prep.neg_mean_ll(theta - step)) / (
+                2.0 * step[j]
+            )
+        assert np.linalg.norm(grad - fd) < 1e-6 * np.linalg.norm(grad)
+        if data == "gain_only":
+            assert grad[1] == 0.0 and grad[2] == 0.0
+
+    def test_blocks_are_contiguous_by_sign(self):
+        assert [b[1:] for b in GRADIENT_DATA["gain_only"].blocks] == [(1, 1)]
+        prep = GRADIENT_DATA["mixed_sign"]
+        assert prep.blocks[0][0].start == 0 and prep.blocks[-1][0].stop == prep.n
+        for (rows, _, _), (after, _, _) in zip(prep.blocks, prep.blocks[1:]):
+            assert rows.stop == after.start
+        pairs = [(rs, ss) for _, rs, ss in prep.blocks]
+        assert len(set(pairs)) == len(pairs) == 9
 
 
 @pytest.fixture(scope="module")
