@@ -1,17 +1,17 @@
 import numpy as np
 
-from riskchoice import GeneratorConfig, generate_dataset, as_arrays
+from riskchoice import GeneratorConfig, generate_dataset
 from riskchoice.scenario import write_dataset_csv, read_dataset_csv
 
 # draw a synthetic choice set: sure payoff vs a risky prospect, framed as
-# gain or loss, with the decision sampled from a logistic latent index
+# gain or loss, with the decision sampled from a logistic latent index; the
+# dataset comes back as columns, one array entry per scenario
 cfg = GeneratorConfig(n=2000, seed=42)
-data = generate_dataset(cfg)
+arrays = generate_dataset(cfg)
 
-print(f"generated {len(data)} scenarios with seed {cfg.seed}")
+print(f"generated {len(arrays)} scenarios with seed {cfg.seed}")
 print("true coefficients:", cfg.true_coeffs)
 
-arrays = as_arrays(data)
 print("\nfirst five rows (safe, risky, p, frame, choice):")
 for i in range(5):
     print(
@@ -29,7 +29,7 @@ print(f"P(risky | gain frame) = {rate_gain:.3f}")
 
 # round-trips through CSV exactly, so a rerun with the same seed is
 # byte-identical on disk
-write_dataset_csv(data, "demo_dataset.csv")
+write_dataset_csv(arrays, "demo_dataset.csv")
 back = read_dataset_csv("demo_dataset.csv")
-assert as_arrays(back).safe[0] == arrays.safe[0]
+assert np.array_equal(back.safe, arrays.safe) and np.array_equal(back.choice, arrays.choice)
 print("\nwrote demo_dataset.csv and read it back, values exact")

@@ -3,7 +3,6 @@ import numpy as np
 from riskchoice import (
     GeneratorConfig,
     generate_dataset,
-    as_arrays,
     design_matrix,
     fit_logistic,
     split,
@@ -14,11 +13,8 @@ from riskchoice.features import SYMBOLIC_NAMES, RAW_NAMES
 from riskchoice.glm import sigmoid
 
 cfg = GeneratorConfig(n=8000, seed=11)
-data = generate_dataset(cfg)
-train_list, test_list = split(data, train_frac=0.8, seed=0)
-train = as_arrays(train_list)
-test = as_arrays(test_list)
-arrays = as_arrays(data)
+arrays = generate_dataset(cfg)
+train, test = split(arrays, train_frac=0.8, seed=0)
 
 y_train = train.choice.astype(float)
 y_test = test.choice.astype(float)

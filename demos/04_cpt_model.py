@@ -8,7 +8,6 @@ from riskchoice import (
     choice_prob_array,
     fit_cpt,
     generate_dataset,
-    as_arrays,
     sample_value_curve,
     sample_weight_curve,
 )
@@ -58,7 +57,7 @@ for p_target in (0.05, 0.25, 0.50, 0.75, 0.95):
 # gain-only data, like the default generator produces, pushes the optimum
 # onto a boundary ridge where most parameters carry no information; the fit
 # reports that instead of inventing SEs
-gain_only = as_arrays(generate_dataset(GeneratorConfig(n=2000, seed=6)))
+gain_only = generate_dataset(GeneratorConfig(n=2000, seed=6))
 weak = fit_cpt(gain_only, n_restarts=5, seed=7)
 print(f"\ngain-only refit: information_singular={weak.information_singular}")
 print("SEs:", ["none" if s is None else round(s, 4) for s in weak.std_errors])

@@ -5,7 +5,6 @@ experiment pipeline."""
 from .cpt import (
     CptFit,
     CptParams,
-    choice_prob,
     choice_prob_array,
     cpt_log_likelihood,
     fit_cpt,
@@ -28,23 +27,19 @@ from .errors import (
 from .evaluation import EvalMetrics, accuracy, auc, evaluate_predictions, split
 from .features import (
     EffectSizeReport,
-    FeatureVector,
     cramers_v,
     design_matrix,
     eta_squared,
-    raw_features,
     select_features,
-    symbolic_features,
 )
-from .glm import FittedLogistic, fit_logistic, log_likelihood, predict_prob, sigmoid
+from .glm import FittedLogistic, fit_logistic, log_likelihood, sigmoid
 from .pipeline import ExperimentConfig, ExperimentReport, run_experiment
 from .scenario import (
     DEFAULT_TRUE_COEFFS,
     GeneratorConfig,
-    Scenario,
+    ScenarioArrays,
     as_arrays,
     generate_dataset,
-    latent_utility,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -54,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CptFit",
     "CptParams",
-    "choice_prob",
     "choice_prob_array",
     "cpt_log_likelihood",
     "fit_cpt",
@@ -77,27 +71,22 @@ __all__ = [
     "evaluate_predictions",
     "split",
     "EffectSizeReport",
-    "FeatureVector",
     "cramers_v",
     "design_matrix",
     "eta_squared",
-    "raw_features",
     "select_features",
-    "symbolic_features",
     "FittedLogistic",
     "fit_logistic",
     "log_likelihood",
-    "predict_prob",
     "sigmoid",
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
     "DEFAULT_TRUE_COEFFS",
     "GeneratorConfig",
-    "Scenario",
+    "ScenarioArrays",
     "as_arrays",
     "generate_dataset",
-    "latent_utility",
     "read_dataset_csv",
     "write_dataset_csv",
 ]

@@ -36,7 +36,6 @@ from .glm import fit_logistic, sigmoid
 from .pipeline import ExperimentConfig, run_experiment
 from .scenario import (
     GeneratorConfig,
-    as_arrays,
     generate_dataset,
     read_dataset_csv,
     write_dataset_csv,
@@ -81,9 +80,8 @@ def cmd_generate(args) -> int:
         else GeneratorConfig().true_coeffs,
     )
     out = _out_dir(args)
-    scenarios = generate_dataset(cfg)
     csv_path = out / "dataset.csv"
-    write_dataset_csv(scenarios, csv_path)
+    write_dataset_csv(generate_dataset(cfg), csv_path)
     meta_path = write_metadata(cfg, csv_path)
     log.info("wrote %s and %s", csv_path, meta_path)
     return 0
@@ -106,8 +104,7 @@ def _print_cpt_table(fit) -> None:
 
 
 def cmd_fit(args) -> int:
-    scenarios = read_dataset_csv(args.dataset)
-    arrays = as_arrays(scenarios)
+    arrays = read_dataset_csv(args.dataset)
     out = _out_dir(args)
 
     if args.model in ("symbolic", "blackbox"):
@@ -151,6 +148,8 @@ def _probs_from_model_doc(doc: dict, arrays) -> np.ndarray:
             raise DataParseError(f"model JSON missing key {exc}") from exc
         if len(features) != coeffs.shape[0]:
             raise DataParseError("model JSON features and coeffs lengths differ")
+        if not np.all(np.isfinite(coeffs)):
+            raise DataParseError("model JSON coeffs must all be finite")
         return sigmoid(design_matrix(arrays, features) @ coeffs)
     if kind == "cpt":
         try:
@@ -176,8 +175,7 @@ def cmd_evaluate(args) -> int:
     except (ValueError, UnicodeDecodeError) as exc:
         raise DataParseError(f"model JSON unreadable: {exc}") from exc
 
-    scenarios = read_dataset_csv(args.dataset)
-    arrays = as_arrays(scenarios)
+    arrays = read_dataset_csv(args.dataset)
     probs = _probs_from_model_doc(doc, arrays)
 
     acc = accuracy(probs, arrays.choice)

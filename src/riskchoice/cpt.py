@@ -32,7 +32,7 @@ from scipy.special import expit, logit
 
 from .errors import EstimationError, InputError
 from .glm import sigmoid
-from .scenario import Scenario, ScenarioArrays, as_arrays
+from .scenario import ScenarioArrays
 
 PARAM_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
 
@@ -118,24 +118,15 @@ def weight_array(p, params: CptParams) -> np.ndarray:
     return np.exp(-((-np.log(p)) ** params.gamma))
 
 
-def choice_prob(s: Scenario, params: CptParams) -> float:
-    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S)))."""
-    u_risky = weight(s.win_prob, params) * value(s.risky_payoff, params)
-    u_safe = value(s.safe_payoff, params)
-    return float(sigmoid(params.eta * (u_risky - u_safe)))
-
-
-def choice_prob_array(scenarios, params: CptParams) -> np.ndarray:
-    """Vectorized choice_prob over a scenario list or array bundle."""
-    arrays = scenarios if isinstance(scenarios, ScenarioArrays) else as_arrays(scenarios)
+def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
+    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S))) for every scenario."""
     u_risky = weight_array(arrays.p, params) * value_array(arrays.risky, params)
     u_safe = value_array(arrays.safe, params)
     return sigmoid(params.eta * (u_risky - u_safe))
 
 
-def cpt_log_likelihood(params: CptParams, scenarios) -> float:
+def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
     """Bernoulli log-likelihood of the observed choices under the model."""
-    arrays = scenarios if isinstance(scenarios, ScenarioArrays) else as_arrays(scenarios)
     return _Prepared(arrays).total_ll(params.as_tuple())
 
 
@@ -428,7 +419,7 @@ def _standard_errors(info: np.ndarray) -> tuple[tuple[float | None, ...], bool]:
 
 
 def fit_cpt(
-    scenarios,
+    arrays: ScenarioArrays,
     n_restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_FIT_SEED,
     gamma_max: float = DEFAULT_GAMMA_MAX,
@@ -447,7 +438,6 @@ def fit_cpt(
         If no restart converges, or the best one ends at coordinates that map
         to a non-finite parameter; the error carries the restart log.
     """
-    arrays = scenarios if isinstance(scenarios, ScenarioArrays) else as_arrays(scenarios)
     if n_restarts < 1:
         raise InputError("n_restarts must be at least 1")
     if not gamma_max > 0.0:

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import InputError, UndefinedMetricError
+from .scenario import ScenarioArrays
 
 # Display names and qualitative interpretability labels for the three model
 # families compared in the experiment. The labels are fixed editorial
@@ -36,7 +37,9 @@ class EvalMetrics:
         }
 
 
-def split(scenarios: list, train_frac: float, seed: int) -> tuple[list, list]:
+def split(
+    data: ScenarioArrays, train_frac: float, seed: int
+) -> tuple[ScenarioArrays, ScenarioArrays]:
     """Shuffle with a seeded permutation, then cut into train and test.
 
     The train side gets round(train_frac * n) scenarios. Both sides must be
@@ -44,7 +47,7 @@ def split(scenarios: list, train_frac: float, seed: int) -> tuple[list, list]:
     """
     if not 0.0 < train_frac < 1.0:
         raise InputError(f"train_frac must lie strictly in (0, 1), got {train_frac}")
-    n = len(scenarios)
+    n = len(data)
     if n == 0:
         raise InputError("cannot split an empty dataset")
     n_train = int(round(train_frac * n))
@@ -53,9 +56,7 @@ def split(scenarios: list, train_frac: float, seed: int) -> tuple[list, list]:
             f"split of {n} scenarios at train_frac={train_frac} leaves a side empty"
         )
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
-    train = [scenarios[i] for i in perm[:n_train]]
-    test = [scenarios[i] for i in perm[n_train:]]
-    return train, test
+    return data.take(perm[:n_train]), data.take(perm[n_train:])
 
 
 def accuracy(probs, y, threshold: float = 0.5) -> float:

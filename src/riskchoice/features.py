@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, UndefinedEffectSizeError
-from .scenario import Scenario, ScenarioArrays, as_arrays
+from .scenario import ScenarioArrays
 
 log = logging.getLogger(__name__)
 
@@ -30,26 +30,6 @@ RAW_NAMES = ("intercept", "safe", "risky", "p", "frame")
 # small-effect boundary.
 DEFAULT_TAU_V = 0.1
 DEFAULT_TAU_ETA = 0.01
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Named feature values for one scenario."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    includes_intercept: bool = True
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) != values.shape[0]:
-            raise InputError("feature names and values have different lengths")
-        if len(set(self.names)) != len(self.names):
-            raise InputError("feature names must be unique")
-        if self.includes_intercept and (not self.names or self.names[0] != "intercept"):
-            raise InputError("intercept must be the first feature when present")
 
 
 def _col_frame(a: ScenarioArrays) -> np.ndarray:
@@ -144,18 +124,6 @@ def raw_matrix(safe, risky, p, frame) -> np.ndarray:
             np.asarray(frame, dtype=float),
         ]
     )
-
-
-def symbolic_features(s: Scenario) -> FeatureVector:
-    """Symbolic feature vector (1, frame, 1[p<0.2], (R-S)/100, 1[pR>S])."""
-    row = symbolic_matrix([s.safe_payoff], [s.risky_payoff], [s.win_prob], [s.frame])[0]
-    return FeatureVector(SYMBOLIC_NAMES, row)
-
-
-def raw_features(s: Scenario) -> FeatureVector:
-    """Raw feature vector (1, S, R, p, frame)."""
-    row = raw_matrix([s.safe_payoff], [s.risky_payoff], [s.win_prob], [s.frame])[0]
-    return FeatureVector(RAW_NAMES, row)
 
 
 def design_matrix(arrays: ScenarioArrays, names) -> np.ndarray:
@@ -279,7 +247,7 @@ class EffectSizeReport:
 
 
 def select_features(
-    scenarios: list[Scenario] | ScenarioArrays,
+    arrays: ScenarioArrays,
     tau_v: float = DEFAULT_TAU_V,
     tau_eta: float = DEFAULT_TAU_ETA,
     candidates: tuple[Candidate, ...] = DEFAULT_CANDIDATES,
@@ -291,7 +259,6 @@ def select_features(
     constant column has no defined effect size: it is reported with a null
     value, dropped, and a warning is logged.
     """
-    arrays = scenarios if isinstance(scenarios, ScenarioArrays) else as_arrays(scenarios)
     if len(arrays) < 2:
         raise InputError("need at least 2 scenarios to screen features")
     y = arrays.choice

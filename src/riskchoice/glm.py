@@ -291,16 +291,3 @@ def fit_logistic(
         diagnostics=diagnostics,
     )
 
-
-def predict_prob(model: FittedLogistic, fv) -> float:
-    """Choice probability for a single feature vector under a fitted model.
-
-    The vector's names must match the model's feature names exactly, in
-    order; a silent reordering would scramble the coefficients.
-    """
-    if tuple(fv.names) != tuple(model.feature_names):
-        raise InputError(
-            f"feature names {tuple(fv.names)} do not match model features "
-            f"{tuple(model.feature_names)}"
-        )
-    return float(sigmoid(float(np.dot(model.coeffs, fv.values))))

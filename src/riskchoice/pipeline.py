@@ -36,7 +36,7 @@ from .features import (
     select_features,
 )
 from .glm import FittedLogistic, fit_logistic, sigmoid
-from .scenario import (
+from .scenario import (  # noqa: F401  (as_arrays stays importable from here)
     GeneratorConfig,
     as_arrays,
     generate_dataset,
@@ -255,19 +255,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
         manifest.append(name)
 
     try:
-        scenarios = generate_dataset(cfg.generator)
-        write_dataset_csv(scenarios, out / "dataset.csv")
+        data = generate_dataset(cfg.generator)
+        write_dataset_csv(data, out / "dataset.csv")
         manifest.append("dataset.csv")
         write_metadata(cfg.generator, out / "dataset.csv")
         manifest.append("dataset.meta.json")
 
         stage = "split"
-        train, test = split(scenarios, cfg.train_frac, cfg.split_seed)
-        train_arrays = as_arrays(train)
-        test_arrays = as_arrays(test)
+        train, test = split(data, cfg.train_frac, cfg.split_seed)
 
         stage = "select_features"
-        selection_base = scenarios if cfg.select_on_full else train
+        selection_base = data if cfg.select_on_full else train
         effect_report = select_features(selection_base, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
         retained = effect_report.retained_names()
         emit(
@@ -276,20 +274,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
         )
 
         stage = "fit_symbolic"
-        X_sym = design_matrix(train_arrays, retained)
-        symbolic = fit_logistic(
-            X_sym, train_arrays.choice, cfg.l2, feature_names=retained
-        )
+        X_sym = design_matrix(train, retained)
+        symbolic = fit_logistic(X_sym, train.choice, cfg.l2, feature_names=retained)
         emit(
             "symbolic_model.json",
             json.dumps({"model": "symbolic", **symbolic.to_json_dict()}, indent=2) + "\n",
         )
 
         stage = "fit_blackbox"
-        X_raw = design_matrix(train_arrays, RAW_NAMES)
+        X_raw = design_matrix(train, RAW_NAMES)
         blackbox = fit_logistic(
             X_raw,
-            train_arrays.choice,
+            train.choice,
             cfg.l2,
             feature_names=RAW_NAMES,
             standardize=cfg.standardize_blackbox,
@@ -301,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
 
         stage = "fit_cpt"
         cpt_fit = cpt_mod.fit_cpt(
-            train_arrays,
+            train,
             n_restarts=cfg.cpt.n_restarts,
             seed=cfg.cpt.seed,
             gamma_max=cfg.cpt.gamma_max,
@@ -312,10 +308,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
         )
 
         stage = "evaluate"
-        y_test = test_arrays.choice
-        sym_probs = symbolic.predict(design_matrix(test_arrays, retained))
-        raw_probs = blackbox.predict(design_matrix(test_arrays, RAW_NAMES))
-        cpt_probs = cpt_mod.choice_prob_array(test_arrays, cpt_fit.params)
+        y_test = test.choice
+        sym_probs = symbolic.predict(design_matrix(test, retained))
+        raw_probs = blackbox.predict(design_matrix(test, RAW_NAMES))
+        cpt_probs = cpt_mod.choice_prob_array(test, cpt_fit.params)
         metrics = {
             "symbolic": _safe_metrics("symbolic", sym_probs, y_test),
             "blackbox": _safe_metrics("blackbox", raw_probs, y_test),
@@ -325,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
         manifest.append("table1.csv")
 
         stage = "reflection"
-        magnitude_median = float(np.median((train_arrays.risky - train_arrays.safe) / 100.0))
+        magnitude_median = float(np.median((train.risky - train.safe) / 100.0))
         reflection = _reflection_rows(symbolic, magnitude_median)
         _write_reflection(out / "reflection.csv", reflection)
         manifest.append("reflection.csv")

@@ -1,18 +1,19 @@
 """Binary risky-choice scenarios and the synthetic data generator.
 
 Each scenario offers a sure payoff against a risky payoff paid with some
-probability, presented under a gain or loss frame. The generator draws
-scenario attributes independently, computes a latent utility for the risky
-option from the symbolic features of the scenario, and samples the observed
-choice from a Bernoulli distribution on the logistic transform of that
-utility.
+probability, presented under a gain or loss frame. A dataset is held as
+columns, one array entry per scenario (:class:`ScenarioArrays`). The
+generator draws scenario attributes independently, computes a latent utility
+for the risky option from the symbolic features of the scenario, and samples
+the observed choice from a Bernoulli distribution on the logistic transform
+of that utility.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,49 +36,56 @@ CSV_HEADER = ("id", "safe", "risky", "p", "frame", "choice")
 
 METADATA_SUFFIX = ".meta.json"
 
+_COLUMN_DTYPES = {
+    "id": np.int64,
+    "safe": np.float64,
+    "risky": np.float64,
+    "p": np.float64,
+    "frame": np.int64,
+    "choice": np.int64,
+}
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
-    """One binary choice between a sure payoff and a risky prospect.
+_CSV_DTYPE = np.dtype([(name, _COLUMN_DTYPES[name]) for name in CSV_HEADER])
 
-    Attributes
-    ----------
-    id : int
-        Row index within its dataset.
-    safe_payoff : float
-        Sure amount received when the safe option is taken.
-    risky_payoff : float
-        Amount received with probability ``win_prob`` when the risky option
-        is taken (zero otherwise).
-    win_prob : float
-        Probability of the risky payout, strictly inside (0, 1).
-    frame : int
-        +1 for gain framing, -1 for loss framing.
-    choice : int
-        1 if the risky option was chosen, 0 otherwise.
-    """
+# One CSV row. "%.17g" renders a float exactly as format(x, ".17g") does.
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%d\n"
 
-    id: int
-    safe_payoff: float
-    risky_payoff: float
-    win_prob: float
-    frame: int
-    choice: int
+# Rows formatted per write call; bounds the memory one chunk's text takes.
+_CSV_CHUNK_ROWS = 1 << 16
 
-    def __post_init__(self):
-        if not (math.isfinite(self.safe_payoff) and math.isfinite(self.risky_payoff)):
-            raise InputError(f"scenario {self.id}: payoffs must be finite")
-        if not 0.0 < self.win_prob < 1.0:
-            raise InputError(f"scenario {self.id}: win_prob must lie strictly in (0, 1)")
-        if self.frame not in (-1, 1):
-            raise InputError(f"scenario {self.id}: frame must be -1 or +1")
-        if self.choice not in (0, 1):
-            raise InputError(f"scenario {self.id}: choice must be 0 or 1")
+# str.splitlines also breaks lines at these ASCII characters and numpy's
+# text reader does not, so a file holding any of them is parsed line by line.
+_EXTRA_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+_NON_BLANK = re.compile(r"\S")
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
 class ScenarioArrays:
-    """Columnar view of a scenario list for vectorised computation."""
+    """A dataset of binary choices between a sure payoff and a risky
+    prospect, one array entry per scenario.
+
+    Attributes
+    ----------
+    id : int64 array
+        Row identifier within the dataset.
+    safe : float64 array
+        Sure amount received when the safe option is taken.
+    risky : float64 array
+        Amount received with probability ``p`` when the risky option is
+        taken (zero otherwise).
+    p : float64 array
+        Probability of the risky payout, strictly inside (0, 1).
+    frame : int64 array
+        +1 for gain framing, -1 for loss framing.
+    choice : int64 array
+        1 if the risky option was chosen, 0 otherwise.
+
+    Construction checks the column types and every scenario's values, and
+    raises :class:`InputError` naming the first offending row.
+    """
 
     id: np.ndarray
     safe: np.ndarray
@@ -86,8 +94,42 @@ class ScenarioArrays:
     frame: np.ndarray
     choice: np.ndarray
 
+    def __post_init__(self):
+        for name, dtype in _COLUMN_DTYPES.items():
+            col = getattr(self, name)
+            if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype != dtype:
+                raise InputError(f"column {name} must be a 1-d {np.dtype(dtype)} array")
+            if col.shape != self.id.shape:
+                raise InputError(
+                    f"column {name} has {col.shape[0]} rows, column id has {self.id.shape[0]}"
+                )
+        bad = _first_invalid_row(**vars(self))
+        if bad is not None:
+            row, rule = bad
+            raise InputError(f"row {row} (scenario {self.id[row]}): {rule}")
+
     def __len__(self) -> int:
         return self.safe.shape[0]
+
+    def take(self, rows) -> ScenarioArrays:
+        """The scenarios at ``rows`` (an index array or a slice), in that order."""
+        return ScenarioArrays(**{name: getattr(self, name)[rows] for name in _COLUMN_DTYPES})
+
+
+def _first_invalid_row(id, safe, risky, p, frame, choice) -> tuple[int, str] | None:
+    """Index of the first scenario that breaks a value rule, with the first
+    rule it breaks; None when every scenario is valid."""
+    rules = (
+        (np.isfinite(safe) & np.isfinite(risky), "payoffs must be finite"),
+        ((p > 0.0) & (p < 1.0), "win_prob must lie strictly in (0, 1)"),
+        ((frame == 1) | (frame == -1), "frame must be -1 or +1"),
+        ((choice == 0) | (choice == 1), "choice must be 0 or 1"),
+    )
+    valid = rules[0][0] & rules[1][0] & rules[2][0] & rules[3][0]
+    if valid.all():
+        return None
+    row = int(np.argmin(valid))
+    return row, next(rule for ok, rule in rules if not ok[row])
 
 
 @dataclass(frozen=True)
@@ -115,42 +157,21 @@ class GeneratorConfig:
         object.__setattr__(self, "true_coeffs", coeffs)
 
 
-def as_arrays(scenarios: list[Scenario]) -> ScenarioArrays:
-    """Convert a scenario list into a columnar array bundle."""
-    if not scenarios:
-        raise InputError("empty scenario list")
-    return ScenarioArrays(
-        id=np.array([s.id for s in scenarios], dtype=np.int64),
-        safe=np.array([s.safe_payoff for s in scenarios], dtype=float),
-        risky=np.array([s.risky_payoff for s in scenarios], dtype=float),
-        p=np.array([s.win_prob for s in scenarios], dtype=float),
-        frame=np.array([s.frame for s in scenarios], dtype=np.int64),
-        choice=np.array([s.choice for s in scenarios], dtype=np.int64),
-    )
+def as_arrays(data) -> ScenarioArrays:
+    """Return ``data`` unchanged if it is a :class:`ScenarioArrays`.
 
-
-def latent_utility(scenario: Scenario, coeffs) -> float:
-    """Latent utility of the risky option under the generating model.
-
-    Computes ``b0 + b1*frame + b2*1[p<0.2] + b3*(R-S)/100 + b4*1[p*R>S]``.
-    The scenario's recorded choice is ignored.
+    Raises
+    ------
+    InputError
+        For anything else.
     """
-    from .features import symbolic_matrix
-
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (5,) or not np.all(np.isfinite(coeffs)):
-        raise InputError("coeffs must be 5 finite values")
-    row = symbolic_matrix(
-        np.array([scenario.safe_payoff]),
-        np.array([scenario.risky_payoff]),
-        np.array([scenario.win_prob]),
-        np.array([scenario.frame], dtype=float),
-    )[0]
-    return float(row @ coeffs)
+    if not isinstance(data, ScenarioArrays):
+        raise InputError(f"expected ScenarioArrays, got {type(data).__name__}")
+    return data
 
 
-def generate_dataset(cfg: GeneratorConfig) -> list[Scenario]:
-    """Simulate a dataset of binary risky choices.
+def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
+    """Simulate a dataset of binary risky choices, with ids 0..n-1.
 
     Attribute marginals: safe ~ U[0, 100], risky ~ U[0, 150], p ~ U[0.1, 0.9],
     frame a fair coin on {-1, +1}, all independent. Choices are Bernoulli on
@@ -170,41 +191,63 @@ def generate_dataset(cfg: GeneratorConfig) -> list[Scenario]:
 
     utility = symbolic_matrix(safe, risky, p, frame.astype(float)) @ np.asarray(cfg.true_coeffs)
     choice = (rng.random(n) < sigmoid(utility)).astype(np.int64)
-
-    return [
-        Scenario(
-            id=i,
-            safe_payoff=float(safe[i]),
-            risky_payoff=float(risky[i]),
-            win_prob=float(p[i]),
-            frame=int(frame[i]),
-            choice=int(choice[i]),
-        )
-        for i in range(n)
-    ]
+    return ScenarioArrays(
+        id=np.arange(n, dtype=np.int64), safe=safe, risky=risky, p=p, frame=frame, choice=choice
+    )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
+    """Write a dataset as CSV with 17-significant-digit floats."""
+    columns = [getattr(data, name) for name in CSV_HEADER]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for start in range(0, len(data), _CSV_CHUNK_ROWS):
+            chunk = [col[start : start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            values = tuple([v for row in zip(*chunk) for v in row])
+            fh.write((_CSV_ROW * len(chunk[0])) % values)
 
 
-def write_dataset_csv(scenarios: list[Scenario], path: str | Path) -> None:
-    """Write scenarios as CSV with 17-significant-digit floats."""
-    lines = [",".join(CSV_HEADER)]
-    for s in scenarios:
-        lines.append(
-            f"{s.id},{_fmt(s.safe_payoff)},{_fmt(s.risky_payoff)},"
-            f"{_fmt(s.win_prob)},{s.frame},{s.choice}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def read_dataset_csv(path: str | Path) -> ScenarioArrays:
+    """Load and validate a scenario CSV written by :func:`write_dataset_csv`.
 
-
-def read_dataset_csv(path: str | Path) -> list[Scenario]:
-    """Load and validate a scenario CSV written by :func:`write_dataset_csv`."""
+    Blank lines are skipped. A malformed line, or one whose scenario breaks a
+    :class:`ScenarioArrays` rule, raises :class:`DataParseError` naming its
+    line number.
+    """
     path = Path(path)
     if not path.exists():
         raise DataParseError(f"dataset file not found: {path}")
     text = path.read_text(encoding="ascii")
+    first_break = text.find("\n")
+    if (
+        first_break >= 0
+        and tuple(col.strip() for col in text[:first_break].split(",")) == CSV_HEADER
+        and _NON_BLANK.search(text, first_break + 1)
+        and not any(ch in text for ch in _EXTRA_LINE_BREAKS)
+    ):
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, ndmin=1, comments=None, dtype=_CSV_DTYPE
+            )
+            return ScenarioArrays(
+                **{name: np.ascontiguousarray(table[name]) for name in CSV_HEADER}
+            )
+        except (ValueError, InputError):
+            pass
+    # The bulk parse cannot say which line is at fault, and it refuses a few
+    # spellings that int() and float() accept, such as 1_0.
+    return _parse_lines(text)
+
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"integer outside the int64 range: {text.strip()!r}")
+    return value
+
+
+def _parse_lines(text: str) -> ScenarioArrays:
+    """Parse CSV text one line at a time; the first bad line raises."""
     lines = text.splitlines()
     if not lines:
         raise DataParseError("empty dataset file", line=1)
@@ -213,30 +256,45 @@ def read_dataset_csv(path: str | Path) -> list[Scenario]:
         raise DataParseError(
             f"expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}", line=1
         )
-    scenarios = []
+    rows, line_numbers = [], []
+    parse_error = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != len(CSV_HEADER):
-            raise DataParseError(
+            parse_error = DataParseError(
                 f"expected {len(CSV_HEADER)} fields, got {len(parts)}", line=lineno
             )
+            break
         try:
-            scenario = Scenario(
-                id=int(parts[0]),
-                safe_payoff=float(parts[1]),
-                risky_payoff=float(parts[2]),
-                win_prob=float(parts[3]),
-                frame=int(parts[4]),
-                choice=int(parts[5]),
+            rows.append(
+                (
+                    _int64(parts[0]),
+                    float(parts[1]),
+                    float(parts[2]),
+                    float(parts[3]),
+                    _int64(parts[4]),
+                    _int64(parts[5]),
+                )
             )
-        except (ValueError, InputError) as exc:
-            raise DataParseError(str(exc), line=lineno) from exc
-        scenarios.append(scenario)
-    if not scenarios:
+        except ValueError as exc:
+            parse_error = DataParseError(str(exc), line=lineno)
+            break
+        line_numbers.append(lineno)
+    table = np.array(rows, dtype=_CSV_DTYPE)
+    columns = {name: np.ascontiguousarray(table[name]) for name in CSV_HEADER}
+    # a scenario rule broken on an earlier line is reported before a later
+    # parse error
+    bad = _first_invalid_row(**columns)
+    if bad is not None:
+        row, rule = bad
+        raise DataParseError(f"scenario {columns['id'][row]}: {rule}", line=line_numbers[row])
+    if parse_error is not None:
+        raise parse_error
+    if not rows:
         raise DataParseError("dataset has a header but no rows", line=1)
-    return scenarios
+    return ScenarioArrays(**columns)
 
 
 def metadata_path(csv_path: str | Path) -> Path:

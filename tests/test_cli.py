@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, generate_dataset, latent_utility
+from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
 from riskchoice.cli import main
-from riskchoice.features import SYMBOLIC_NAMES
+from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
 from riskchoice.scenario import write_dataset_csv
 
@@ -124,7 +124,7 @@ class TestEvaluate:
         assert run_cli("evaluate", str(model_path), str(csv_path), "--out", str(tmp_path)) == 0
         metrics = json.loads((tmp_path / "metrics.json").read_text())
 
-        probs = np.array([sigmoid(latent_utility(s, cfg.true_coeffs)) for s in data])
+        probs = sigmoid(design_matrix(data, SYMBOLIC_NAMES) @ np.asarray(cfg.true_coeffs))
         bayes = float(np.mean(np.maximum(probs, 1 - probs)))
         assert metrics["n_test"] == 20_000
         assert abs(metrics["accuracy"] - bayes) < 0.01
@@ -168,6 +168,19 @@ class TestEvaluate:
         assert run_cli("evaluate", str(model_path), str(dataset_csv)) == 2
         model_path.write_text(json.dumps({"model": "cpt", "alpha": 0.5}))
         assert run_cli("evaluate", str(model_path), str(dataset_csv)) == 2
+
+    @pytest.mark.parametrize("kind, names", [("symbolic", SYMBOLIC_NAMES), ("blackbox", RAW_NAMES)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coeffs_are_parse_errors(self, dataset_csv, tmp_path, capsys, kind, names, bad):
+        coeffs = [0.1] * len(names)
+        coeffs[2] = bad
+        model_path = tmp_path / "m.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        model_path.write_text(json.dumps({"model": kind, "features": list(names), "coeffs": coeffs}))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(out)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
 
 class TestExperiment:

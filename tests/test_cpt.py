@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from riskchoice import (
     CptParams,
     InputError,
-    choice_prob,
     choice_prob_array,
     cpt_log_likelihood,
     fit_cpt,
@@ -18,7 +17,8 @@ from riskchoice import (
     weight,
 )
 from riskchoice.cpt import PARAM_NAMES, _Prepared, value_array, weight_array
-from riskchoice.scenario import Scenario, ScenarioArrays
+from riskchoice.glm import sigmoid
+from riskchoice.scenario import ScenarioArrays
 
 IDENTITY = CptParams(alpha=1.0, beta=1.0, lam=1.0, gamma=1.0, eta=1.0)
 CURVED = CptParams(alpha=0.20, beta=0.77, lam=0.71, gamma=2.00, eta=0.20)
@@ -118,34 +118,40 @@ class TestWeight:
             weight(1.0001, IDENTITY)
 
 
+def one_scenario(safe, risky, p):
+    return ScenarioArrays(
+        id=np.zeros(1, dtype=np.int64),
+        safe=np.array([safe]),
+        risky=np.array([risky]),
+        p=np.array([p]),
+        frame=np.ones(1, dtype=np.int64),
+        choice=np.zeros(1, dtype=np.int64),
+    )
+
+
 class TestChoiceProb:
     def test_both_zero_payoffs(self):
-        s = Scenario(id=0, safe_payoff=0.0, risky_payoff=0.0, win_prob=0.4, frame=1, choice=0)
-        assert choice_prob(s, CURVED) == 0.5
+        assert choice_prob_array(one_scenario(0.0, 0.0, 0.4), CURVED)[0] == 0.5
 
     def test_vanishing_sensitivity(self):
-        s = Scenario(id=0, safe_payoff=30.0, risky_payoff=90.0, win_prob=0.6, frame=1, choice=0)
         params = CptParams(0.6, 0.6, 1.0, 1.0, 1e-12)
-        assert choice_prob(s, params) == pytest.approx(0.5, abs=1e-9)
+        assert choice_prob_array(one_scenario(30.0, 90.0, 0.6), params)[0] == pytest.approx(
+            0.5, abs=1e-9
+        )
 
     def test_identity_params_pinned(self):
-        s = Scenario(id=0, safe_payoff=50.0, risky_payoff=120.0, win_prob=0.5, frame=1, choice=0)
         expected = 1.0 / (1.0 + math.exp(-10.0))
-        assert choice_prob(s, IDENTITY) == pytest.approx(expected, rel=1e-14)
+        assert choice_prob_array(one_scenario(50.0, 120.0, 0.5), IDENTITY)[0] == pytest.approx(
+            expected, rel=1e-14
+        )
 
     def test_array_matches_scalar(self):
         arrays = simulate(TRUE, 50, seed=1, mixed_sign=True)
         probs = choice_prob_array(arrays, TRUE)
         for i in range(50):
-            s = Scenario(
-                id=i,
-                safe_payoff=float(arrays.safe[i]),
-                risky_payoff=float(arrays.risky[i]),
-                win_prob=float(arrays.p[i]),
-                frame=int(arrays.frame[i]),
-                choice=int(arrays.choice[i]),
-            )
-            assert probs[i] == pytest.approx(choice_prob(s, TRUE), rel=1e-12)
+            u_risky = weight(float(arrays.p[i]), TRUE) * value(float(arrays.risky[i]), TRUE)
+            u_safe = value(float(arrays.safe[i]), TRUE)
+            assert probs[i] == pytest.approx(sigmoid(TRUE.eta * (u_risky - u_safe)), rel=1e-12)
 
 
 class TestLogLikelihood:

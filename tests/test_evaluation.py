@@ -31,14 +31,21 @@ class TestSplit:
     def test_disjoint_union(self):
         data = generate_dataset(GeneratorConfig(n=400, seed=1))
         train, test = split(data, 0.7, seed=5)
-        ids = sorted(s.id for s in train) + sorted(s.id for s in test)
+        ids = train.id.tolist() + test.id.tolist()
         assert sorted(ids) == list(range(400))
-        assert not (set(s.id for s in train) & set(s.id for s in test))
+        assert not (set(train.id.tolist()) & set(test.id.tolist()))
+        # each row keeps its own attributes
+        for side in (train, test):
+            np.testing.assert_array_equal(side.safe, data.safe[side.id])
+            np.testing.assert_array_equal(side.choice, data.choice[side.id])
 
     def test_seeded_determinism(self):
         data = generate_dataset(GeneratorConfig(n=200, seed=2))
-        assert split(data, 0.8, seed=3) == split(data, 0.8, seed=3)
-        assert split(data, 0.8, seed=3) != split(data, 0.8, seed=4)
+        def ids(seed):
+            return [side.id.tolist() for side in split(data, 0.8, seed=seed)]
+
+        assert ids(3) == ids(3)
+        assert ids(3) != ids(4)
 
     def test_two_scenarios_half(self):
         data = generate_dataset(GeneratorConfig(n=2, seed=3))

@@ -5,79 +5,88 @@ from scipy.stats import chi2_contingency
 from riskchoice import (
     GeneratorConfig,
     InputError,
-    Scenario,
+    ScenarioArrays,
     UndefinedEffectSizeError,
-    as_arrays,
     cramers_v,
     design_matrix,
     eta_squared,
     generate_dataset,
-    raw_features,
     select_features,
-    symbolic_features,
 )
 from riskchoice.features import (
     DEFAULT_CANDIDATES,
+    RAW_NAMES,
+    SYMBOLIC_NAMES,
     Candidate,
-    FeatureVector,
     raw_matrix,
     symbolic_matrix,
 )
 
 
-def _scenario(safe, risky, p, frame):
-    return Scenario(id=0, safe_payoff=safe, risky_payoff=risky, win_prob=p, frame=frame, choice=0)
+def _scenarios(safe, risky, p, frame):
+    n = len(safe)
+    return ScenarioArrays(
+        id=np.arange(n),
+        safe=np.asarray(safe, dtype=float),
+        risky=np.asarray(risky, dtype=float),
+        p=np.asarray(p, dtype=float),
+        frame=np.asarray(frame, dtype=np.int64),
+        choice=np.zeros(n, dtype=np.int64),
+    )
+
+
+def _symbolic_row(safe, risky, p, frame):
+    return design_matrix(_scenarios([safe], [risky], [p], [frame]), SYMBOLIC_NAMES)[0]
+
+
+def _raw_row(safe, risky, p, frame):
+    return design_matrix(_scenarios([safe], [risky], [p], [frame]), RAW_NAMES)[0]
 
 
 class TestFeatureMaps:
     def test_symbolic_example(self):
-        fv = symbolic_features(_scenario(50.0, 120.0, 0.15, 1))
-        assert fv.names == ("intercept", "frame", "low_prob", "magnitude", "dominance")
+        assert SYMBOLIC_NAMES == ("intercept", "frame", "low_prob", "magnitude", "dominance")
         # 0.15 * 120 = 18 does not beat the sure 50, so dominance is 0
-        np.testing.assert_allclose(fv.values, [1.0, 1.0, 1.0, 0.7, 0.0], atol=1e-15)
+        np.testing.assert_allclose(
+            _symbolic_row(50.0, 120.0, 0.15, 1), [1.0, 1.0, 1.0, 0.7, 0.0], atol=1e-15
+        )
 
     def test_magnitude_zero_when_payoffs_equal(self):
-        fv = symbolic_features(_scenario(80.0, 80.0, 0.5, -1))
-        assert fv.values[3] == 0.0
+        assert _symbolic_row(80.0, 80.0, 0.5, -1)[3] == 0.0
 
     def test_low_prob_boundary_is_strict(self):
-        fv = symbolic_features(_scenario(10.0, 20.0, 0.2, 1))
-        assert fv.values[2] == 0.0
-        fv = symbolic_features(_scenario(10.0, 20.0, 0.1999, 1))
-        assert fv.values[2] == 1.0
+        assert _symbolic_row(10.0, 20.0, 0.2, 1)[2] == 0.0
+        assert _symbolic_row(10.0, 20.0, 0.1999, 1)[2] == 1.0
 
     def test_raw_passthrough(self):
-        fv = raw_features(_scenario(50.0, 120.0, 0.15, 1))
-        assert fv.names == ("intercept", "safe", "risky", "p", "frame")
-        np.testing.assert_array_equal(fv.values, [1.0, 50.0, 120.0, 0.15, 1.0])
+        assert RAW_NAMES == ("intercept", "safe", "risky", "p", "frame")
+        np.testing.assert_array_equal(
+            _raw_row(50.0, 120.0, 0.15, 1), [1.0, 50.0, 120.0, 0.15, 1.0]
+        )
 
     def test_raw_frame_sign(self):
-        fv = raw_features(_scenario(5.0, 5.0, 0.5, -1))
-        assert fv.values[-1] == -1.0
-        assert len(fv.values) == 5
-        assert fv.names[0] == "intercept"
+        row = _raw_row(5.0, 5.0, 0.5, -1)
+        assert row[-1] == -1.0
+        assert len(row) == 5
 
     def test_matrix_builders_agree_with_per_scenario_maps(self):
         rng = np.random.Generator(np.random.PCG64(4))
-        for _ in range(20):
-            s = _scenario(
-                float(rng.uniform(0, 100)),
-                float(rng.uniform(0, 150)),
-                float(rng.uniform(0.1, 0.9)),
-                int(rng.integers(0, 2)) * 2 - 1,
-            )
-            row_sym = symbolic_matrix([s.safe_payoff], [s.risky_payoff], [s.win_prob], [s.frame])[0]
-            np.testing.assert_array_equal(row_sym, symbolic_features(s).values)
-            row_raw = raw_matrix([s.safe_payoff], [s.risky_payoff], [s.win_prob], [s.frame])[0]
-            np.testing.assert_array_equal(row_raw, raw_features(s).values)
-
-    def test_feature_vector_validation(self):
-        with pytest.raises(InputError):
-            FeatureVector(("a", "a"), np.array([1.0, 2.0]))
-        with pytest.raises(InputError):
-            FeatureVector(("a", "b"), np.array([1.0]))
-        with pytest.raises(InputError):
-            FeatureVector(("a", "b"), np.array([1.0, 2.0]), includes_intercept=True)
+        n = 20
+        arrays = _scenarios(
+            rng.uniform(0, 100, n),
+            rng.uniform(0, 150, n),
+            rng.uniform(0.1, 0.9, n),
+            rng.integers(0, 2, n) * 2 - 1,
+        )
+        cols = (arrays.safe, arrays.risky, arrays.p, arrays.frame)
+        np.testing.assert_array_equal(
+            symbolic_matrix(*cols), design_matrix(arrays, SYMBOLIC_NAMES)
+        )
+        np.testing.assert_array_equal(raw_matrix(*cols), design_matrix(arrays, RAW_NAMES))
+        for i in range(n):
+            one = [arrays.safe[i], arrays.risky[i], arrays.p[i], arrays.frame[i]]
+            np.testing.assert_array_equal(_symbolic_row(*one), symbolic_matrix(*cols)[i])
+            np.testing.assert_array_equal(_raw_row(*one), raw_matrix(*cols)[i])
 
 
 class TestCramersV:
@@ -230,8 +239,7 @@ class TestSelection:
 
 
 def test_design_matrix_columns():
-    data = generate_dataset(GeneratorConfig(n=50, seed=6))
-    arrays = as_arrays(data)
+    arrays = generate_dataset(GeneratorConfig(n=50, seed=6))
     X = design_matrix(arrays, ("intercept", "frame", "magnitude"))
     assert X.shape == (50, 3)
     np.testing.assert_array_equal(X[:, 0], np.ones(50))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from riskchoice import InputError, NumericalError, fit_logistic, log_likelihood, sigmoid
-from riskchoice.features import FeatureVector
-from riskchoice.glm import gradient_and_hessian, predict_prob
+from riskchoice.glm import gradient_and_hessian
 
 
 def _random_instance(rng, n=20, k=4):
@@ -233,30 +232,31 @@ class TestPredictProb:
         X, y = _random_instance(rng, n=60)
         fit = fit_logistic(X, y, feature_names=("intercept", "a", "b", "c"))
         fit.coeffs = np.zeros(4)
-        fv = FeatureVector(("intercept", "a", "b", "c"), np.array([1.0, 2.0, -1.0, 0.5]))
-        assert predict_prob(fit, fv) == 0.5
+        assert fit.predict(np.array([[1.0, 2.0, -1.0, 0.5]]))[0] == 0.5
 
     def test_matches_sigmoid_composition(self):
         rng = np.random.Generator(np.random.PCG64(16))
         X, y = _random_instance(rng, n=60)
         fit = fit_logistic(X, y, feature_names=("intercept", "a", "b", "c"))
-        fv = FeatureVector(("intercept", "a", "b", "c"), np.array([1.0, 0.3, 1.2, -2.0]))
-        expected = sigmoid(float(np.dot(fit.coeffs, fv.values)))
-        assert predict_prob(fit, fv) == pytest.approx(expected, abs=1e-15)
+        row = np.array([1.0, 0.3, 1.2, -2.0])
+        expected = sigmoid(float(np.dot(fit.coeffs, row)))
+        assert fit.predict(row[None, :])[0] == pytest.approx(expected, abs=1e-15)
 
     def test_frame_monotonicity(self):
         fit_names = ("intercept", "frame")
         X = np.column_stack([np.ones(40), np.repeat([-1.0, 1.0], 20)])
         y = np.concatenate([np.ones(15), np.zeros(5), np.zeros(15), np.ones(5)])
         fit = fit_logistic(X, y, feature_names=fit_names)
-        p_loss = predict_prob(fit, FeatureVector(fit_names, np.array([1.0, -1.0])))
-        p_gain = predict_prob(fit, FeatureVector(fit_names, np.array([1.0, 1.0])))
+        p_loss, p_gain = fit.predict(np.array([[1.0, -1.0], [1.0, 1.0]]))
         assert p_loss > p_gain
 
     def test_name_mismatch_raises(self):
         rng = np.random.Generator(np.random.PCG64(17))
         X, y = _random_instance(rng, n=60)
         fit = fit_logistic(X, y, feature_names=("intercept", "a", "b", "c"))
-        fv = FeatureVector(("intercept", "b", "a", "c"), np.array([1.0, 0.0, 0.0, 0.0]))
+        # rows are built from fit.feature_names by design_matrix; a row of
+        # another width cannot be scored
         with pytest.raises(InputError):
-            predict_prob(fit, fv)
+            fit.predict(np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(InputError):
+            fit.predict(np.array([1.0, 0.0, 0.0, 0.0]))

@@ -159,14 +159,14 @@ class TestRun:
     def test_train_accuracy_at_least_test(self, small_run):
         # informational regression: not a theorem, but holds on this seed
         report, out = small_run
-        from riskchoice import accuracy, as_arrays, generate_dataset, split
+        from riskchoice import accuracy, generate_dataset, split
         from riskchoice.features import design_matrix
 
         data = generate_dataset(report.config.generator)
         train, test = split(data, report.config.train_frac, report.config.split_seed)
         retained = report.effect_report.retained_names()
-        X_train = design_matrix(as_arrays(train), retained)
-        train_acc = accuracy(report.symbolic.predict(X_train), as_arrays(train).choice)
+        X_train = design_matrix(train, retained)
+        train_acc = accuracy(report.symbolic.predict(X_train), train.choice)
         print(f"train accuracy {train_acc:.4f} vs test {report.metrics['symbolic'].accuracy:.4f}")
         assert train_acc >= report.metrics["symbolic"].accuracy - 0.02
 

@@ -1,8 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskchoice import (
     ConfigError,
@@ -10,28 +18,65 @@ from riskchoice import (
     DEFAULT_TRUE_COEFFS,
     GeneratorConfig,
     InputError,
-    Scenario,
+    ScenarioArrays,
     as_arrays,
+    design_matrix,
     generate_dataset,
-    latent_utility,
     read_dataset_csv,
     write_dataset_csv,
 )
+from riskchoice.cli import main
+from riskchoice.features import SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
-from riskchoice.scenario import RNG_ALGORITHM, read_metadata, write_metadata
+from riskchoice import scenario as scenario_module
+from riskchoice.scenario import CSV_HEADER, RNG_ALGORITHM, read_metadata, write_metadata
+
+# SHA-256 of dataset.csv from `riskchoice generate --n 5000 --seed 42`
+GOLDEN_SEED42_SHA256 = "082f15fb582c58469fbb5ebffe43fe90136b7da8271e24db57e091545673481d"
+
+
+def assert_same_columns(a, b):
+    for name in CSV_HEADER:
+        col_a, col_b = getattr(a, name), getattr(b, name)
+        assert col_a.dtype == col_b.dtype, name
+        assert col_a.tobytes() == col_b.tobytes(), name
+
+
+def reference_csv(data):
+    """The dataset as format(x, ".17g") renders each float, one line per row."""
+    lines = [",".join(CSV_HEADER)] + [
+        f"{i},{format(s, '.17g')},{format(r, '.17g')},{format(p, '.17g')},{f},{c}"
+        for i, s, r, p, f, c in zip(*(getattr(data, name).tolist() for name in CSV_HEADER))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def make_arrays(safe, risky, p, frame, choice=None):
+    n = len(safe)
+    return ScenarioArrays(
+        id=np.arange(n, dtype=np.int64),
+        safe=np.asarray(safe, dtype=float),
+        risky=np.asarray(risky, dtype=float),
+        p=np.asarray(p, dtype=float),
+        frame=np.asarray(frame, dtype=np.int64),
+        choice=np.zeros(n, dtype=np.int64) if choice is None else np.asarray(choice, np.int64),
+    )
+
+
+def latent_utility(arrays, coeffs):
+    """The generator's latent utility b0 + b1*frame + b2*1[p<0.2] +
+    b3*(R-S)/100 + b4*1[p*R>S], one value per scenario."""
+    return design_matrix(arrays, SYMBOLIC_NAMES) @ np.asarray(coeffs, dtype=float)
 
 
 def test_generator_is_deterministic():
     cfg = GeneratorConfig(n=300, seed=11)
-    a = generate_dataset(cfg)
-    b = generate_dataset(cfg)
-    assert a == b
+    assert_same_columns(generate_dataset(cfg), generate_dataset(cfg))
 
 
 def test_generator_marginal_ranges():
-    data = generate_dataset(GeneratorConfig(n=10_000, seed=5))
-    arr = as_arrays(data)
-    assert len(data) == 10_000
+    arr = generate_dataset(GeneratorConfig(n=10_000, seed=5))
+    assert len(arr) == 10_000
     assert arr.safe.min() >= 0.0 and arr.safe.max() <= 100.0
     assert arr.risky.min() >= 0.0 and arr.risky.max() <= 150.0
     assert arr.p.min() >= 0.1 and arr.p.max() <= 0.9
@@ -43,32 +88,35 @@ def test_generator_marginal_ranges():
 def test_saturating_coefficients_forces_all_safe():
     cfg = GeneratorConfig(n=500, seed=9, true_coeffs=(-1e6, 0, 0, 0, 0))
     data = generate_dataset(cfg)
-    assert all(s.choice == 0 for s in data)
+    assert np.all(data.choice == 0)
 
 
 def test_choice_rate_matches_latent_probabilities():
     # empirical choice frequency should track the mean model probability
     cfg = GeneratorConfig(n=50_000, seed=17)
     data = generate_dataset(cfg)
-    probs = [sigmoid(latent_utility(s, cfg.true_coeffs)) for s in data[:5000]]
-    observed = np.mean([s.choice for s in data])
+    probs = sigmoid(latent_utility(data.take(slice(0, 5000)), cfg.true_coeffs))
+    observed = np.mean(data.choice)
     assert abs(observed - np.mean(probs)) < 0.02
 
 
 def test_latent_utility_values():
-    s = Scenario(id=0, safe_payoff=50.0, risky_payoff=120.0, win_prob=0.15, frame=1, choice=0)
-    assert latent_utility(s, (0, 0, 0, 0, 0)) == 0.0
-    assert latent_utility(s, (0, 1, 0, 0, 0)) == 1.0
+    arrays = make_arrays([50.0], [120.0], [0.15], [1])
+    assert latent_utility(arrays, (0, 0, 0, 0, 0))[0] == 0.0
+    assert latent_utility(arrays, (0, 1, 0, 0, 0))[0] == 1.0
     # -0.5 - 0.8 + 0.9 + 1.2*0.7 + 0 = 0.44
-    assert latent_utility(s, DEFAULT_TRUE_COEFFS) == pytest.approx(0.44, abs=1e-12)
+    assert latent_utility(arrays, DEFAULT_TRUE_COEFFS)[0] == pytest.approx(0.44, abs=1e-12)
 
 
 def test_latent_utility_rejects_bad_coeffs():
-    s = Scenario(id=0, safe_payoff=1.0, risky_payoff=2.0, win_prob=0.5, frame=1, choice=0)
-    with pytest.raises(InputError):
-        latent_utility(s, (1.0, 2.0))
-    with pytest.raises(InputError):
-        latent_utility(s, (1.0, 2.0, 3.0, 4.0, float("nan")))
+    arrays = make_arrays([1.0], [2.0], [0.5], [1])
+    with pytest.raises(ValueError):
+        latent_utility(arrays, (1.0, 2.0))
+    # the generator takes its coefficients through GeneratorConfig only
+    with pytest.raises(ConfigError):
+        GeneratorConfig(true_coeffs=(1.0, 2.0))
+    with pytest.raises(ConfigError):
+        GeneratorConfig(true_coeffs=(1.0, 2.0, 3.0, 4.0, float("nan")))
 
 
 def test_generator_config_validation():
@@ -83,31 +131,73 @@ def test_generator_config_validation():
 
 
 def test_scenario_validation():
-    ok = dict(id=0, safe_payoff=1.0, risky_payoff=2.0, win_prob=0.5, frame=1, choice=0)
-    Scenario(**ok)
-    with pytest.raises(InputError):
-        Scenario(**{**ok, "frame": 0})
-    with pytest.raises(InputError):
-        Scenario(**{**ok, "choice": 2})
-    with pytest.raises(InputError):
-        Scenario(**{**ok, "win_prob": 0.0})
-    with pytest.raises(InputError):
-        Scenario(**{**ok, "win_prob": 1.0})
-    with pytest.raises(InputError):
-        Scenario(**{**ok, "safe_payoff": math.inf})
+    ok = dict(safe=[1.0] * 3, risky=[2.0] * 3, p=[0.5] * 3, frame=[1] * 3, choice=[0] * 3)
+    make_arrays(**ok)
+    bad_values = [
+        ("frame", 0, "frame must be -1 or \\+1"),
+        ("choice", 2, "choice must be 0 or 1"),
+        ("p", 0.0, "win_prob"),
+        ("p", 1.0, "win_prob"),
+        ("p", math.nan, "win_prob"),
+        ("safe", math.inf, "payoffs must be finite"),
+        ("risky", -math.inf, "payoffs must be finite"),
+    ]
+    for column, value, message in bad_values:
+        cols = {k: list(v) for k, v in ok.items()}
+        cols[column][1] = value
+        cols[column][2] = value
+        with pytest.raises(InputError, match=f"^row 1 \\(scenario 1\\): {message}"):
+            make_arrays(**cols)
+    # the first rule a row breaks is the one reported
+    with pytest.raises(InputError, match="row 0 .*payoffs"):
+        make_arrays([math.nan], [2.0], [2.0], [0], [5])
 
 
-def test_csv_round_trip_is_exact(tmp_path):
+def test_scenario_arrays_column_types():
+    good = make_arrays([1.0, 2.0], [2.0, 3.0], [0.5, 0.5], [1, -1])
+    fields = {name: getattr(good, name) for name in CSV_HEADER}
+    with pytest.raises(InputError, match="column frame"):
+        ScenarioArrays(**{**fields, "frame": fields["frame"].astype(float)})
+    with pytest.raises(InputError, match="column safe"):
+        ScenarioArrays(**{**fields, "safe": fields["safe"].tolist()})
+    with pytest.raises(InputError, match="column p has 1 rows"):
+        ScenarioArrays(**{**fields, "p": fields["p"][:1]})
+    with pytest.raises(InputError, match="column id"):
+        ScenarioArrays(**{**fields, "id": fields["id"].reshape(2, 1)})
+
+
+def test_take_keeps_rows_together():
+    data = generate_dataset(GeneratorConfig(n=20, seed=8))
+    rows = np.array([5, 0, 19])
+    part = data.take(rows)
+    for name in CSV_HEADER:
+        np.testing.assert_array_equal(getattr(part, name), getattr(data, name)[rows])
+
+
+def test_csv_round_trip_is_exact(tmp_path, monkeypatch):
+    # several write chunks, the last one short
+    monkeypatch.setattr(scenario_module, "_CSV_CHUNK_ROWS", 64)
     data = generate_dataset(GeneratorConfig(n=250, seed=3))
     path = tmp_path / "dataset.csv"
     write_dataset_csv(data, path)
+    assert path.read_text() == reference_csv(data)
     again = read_dataset_csv(path)
-    assert again == data
+    assert_same_columns(again, data)
 
     # serialization is stable: writing the reread data changes nothing
     path2 = tmp_path / "again.csv"
     write_dataset_csv(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_golden_seed42_dataset(tmp_path):
+    assert main(["generate", "--n", "5000", "--seed", "42", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "dataset.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED42_SHA256
+    back = read_dataset_csv(path)
+    assert_same_columns(back, generate_dataset(GeneratorConfig(n=5000, seed=42)))
+    write_dataset_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_csv_header_and_shape(tmp_path):
@@ -145,9 +235,45 @@ def test_csv_parse_errors(tmp_path):
     with pytest.raises(DataParseError, match="line 2"):
         read_dataset_csv(path)
 
-    path.write_text("id,safe,risky,p,frame,choice\n")
-    with pytest.raises(DataParseError, match="no rows"):
+    for body in ("", "\n\n", "  \n"):
+        path.write_text("id,safe,risky,p,frame,choice\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataParseError, match="no rows"):
+                read_dataset_csv(path)
+
+
+def test_reader_reports_the_earliest_bad_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    # a rule broken on line 3 comes before the unparsable line 5
+    path.write_text(
+        "id,safe,risky,p,frame,choice\n"
+        "0,1,2,0.5,1,0\n1,1,2,0.5,0,0\n\n2,1,x,0.5,1,0\n"
+    )
+    with pytest.raises(DataParseError, match="^line 3: scenario 1: frame must be -1 or \\+1$"):
         read_dataset_csv(path)
+    path.write_text("id,safe,risky,p,frame,choice\n0,1,2,0.5,1,0\n\n1,1,2,0.5,1.0,0\n")
+    with pytest.raises(DataParseError, match="^line 4: invalid literal for int"):
+        read_dataset_csv(path)
+    # str.splitlines ends a line at a form feed, so this row has 3 fields
+    path.write_text("id,safe,risky,p,frame,choice\n0,1,2\x0c,0.5,1,0\n")
+    with pytest.raises(DataParseError, match="^line 2: expected 6 fields, got 3$"):
+        read_dataset_csv(path)
+    path.write_text("id,safe,risky,p,frame,choice\n99999999999999999999,1,2,0.5,1,0\n")
+    with pytest.raises(DataParseError, match="^line 2: integer outside the int64 range"):
+        read_dataset_csv(path)
+
+
+def test_loader_accepts_what_int_and_float_accept(tmp_path):
+    # underscores and splitlines' extra line breaks go through the line parser
+    path = tmp_path / "odd.csv"
+    path.write_text(
+        "id,safe,risky,p,frame,choice\n1_0,1_0.5,2,0.5,1,0\x0c11,3,4,0.25,-1,1\r\n"
+    )
+    data = read_dataset_csv(path)
+    np.testing.assert_array_equal(data.id, [10, 11])
+    np.testing.assert_array_equal(data.safe, [10.5, 3.0])
+    np.testing.assert_array_equal(data.frame, [1, -1])
 
 
 def test_loader_accepts_negative_payoffs(tmp_path):
@@ -157,8 +283,8 @@ def test_loader_accepts_negative_payoffs(tmp_path):
         "id,safe,risky,p,frame,choice\n0,-25,-80,0.3,-1,1\n1,10,50,0.6,1,0\n"
     )
     data = read_dataset_csv(path)
-    assert data[0].safe_payoff == -25.0
-    assert data[0].risky_payoff == -80.0
+    assert data.safe[0] == -25.0
+    assert data.risky[0] == -80.0
 
 
 def test_metadata_sidecar(tmp_path):
@@ -180,3 +306,106 @@ def test_metadata_sidecar(tmp_path):
 def test_as_arrays_rejects_empty():
     with pytest.raises(InputError):
         as_arrays([])
+    data = generate_dataset(GeneratorConfig(n=5, seed=1))
+    assert as_arrays(data) is data
+
+
+# --- property tests of the CSV reader and writer ---
+
+payoffs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]),
+)
+probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+scenario_rows = st.tuples(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    payoffs,
+    payoffs,
+    probabilities,
+    st.sampled_from([-1, 1]),
+    st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(scenario_rows, min_size=1, max_size=40))
+def test_csv_round_trip_property(rows):
+    cols = list(zip(*rows))
+    data = ScenarioArrays(
+        **{
+            name: np.array(col, dtype=np.float64 if name in ("safe", "risky", "p") else np.int64)
+            for name, col in zip(CSV_HEADER, cols)
+        }
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset_csv(data, path)
+        assert path.read_text() == reference_csv(data)
+        back = read_dataset_csv(path)
+        assert_same_columns(back, data)
+        write_dataset_csv(back, Path(tmp) / "again.csv")
+        assert (Path(tmp) / "again.csv").read_bytes() == path.read_bytes()
+
+
+def corrupt(fields, kind, pick):
+    """Break one CSV row in the way named by ``kind``."""
+    fields = list(fields)
+    if kind == "drop_field":
+        del fields[pick % len(fields)]
+    elif kind == "add_field":
+        fields.insert(pick % (len(fields) + 1), "0")
+    elif kind == "non_numeric":
+        fields[pick % len(fields)] = ("abc", "1.2.3", "", "0x1f", "--1")[pick % 5]
+    elif kind == "float_in_int_column":
+        fields[(0, 4, 5)[pick % 3]] = "1.0"
+    elif kind == "p_outside":
+        fields[3] = ("0", "1", "1.5", "-0.2", "nan", "inf")[pick % 6]
+    elif kind == "frame_zero":
+        fields[4] = "0"
+    elif kind == "choice_two":
+        fields[5] = "2"
+    elif kind == "inf_payoff":
+        fields[1 + pick % 2] = ("inf", "-inf", "nan")[pick % 3]
+    return fields
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    row=st.integers(min_value=0, max_value=24),
+    kind=st.sampled_from(
+        [
+            "drop_field",
+            "add_field",
+            "non_numeric",
+            "float_in_int_column",
+            "p_outside",
+            "frame_zero",
+            "choice_two",
+            "inf_payoff",
+        ]
+    ),
+    pick=st.integers(min_value=0, max_value=59),
+    blank_before=st.booleans(),
+)
+def test_malformed_line_is_named(row, kind, pick, blank_before):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset_csv(generate_dataset(GeneratorConfig(n=25, seed=31)), path)
+        header, *body = path.read_text().splitlines()
+    body[row] = ",".join(corrupt(body[row].split(","), kind, pick))
+    if blank_before:
+        body.insert(row, "")
+    bad_line = row + (3 if blank_before else 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(DataParseError) as info:
+            read_dataset_csv(path)
+        assert info.value.line == bad_line
+        assert str(info.value).startswith(f"line {bad_line}: ")
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["fit", "symbolic", str(path), "--out", tmp])
+        assert code == 2
+        assert f"line {bad_line}: " in stderr.getvalue()
