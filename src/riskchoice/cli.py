@@ -19,32 +19,33 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .cpt import CptParams, PARAM_NAMES, choice_prob_array, fit_cpt
-from .errors import (
-    ConfigError,
-    DataParseError,
-    InputError,
-    NumericalError,
-    UndefinedMetricError,
-    UsageError,
+from .cpt import PARAM_NAMES
+from .errors import ConfigError, DataParseError, InputError, NumericalError, UsageError
+from .pipeline import (
+    MODEL_KEYS,
+    ExperimentConfig,
+    config_fields,
+    fit_model,
+    heldout_metrics,
+    model_doc,
+    model_probs,
+    run_experiment,
 )
-from .evaluation import accuracy, auc
-from .features import RAW_NAMES, SYMBOLIC_NAMES, design_matrix
-from .glm import fit_logistic, sigmoid
-from .pipeline import ExperimentConfig, run_experiment
-from .scenario import (
-    GeneratorConfig,
-    generate_dataset,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_metadata,
-)
+from .scenario import generate_dataset, read_dataset_csv, write_dataset_csv, write_metadata
 
 log = logging.getLogger(__name__)
 
-MODEL_CHOICES = ("symbolic", "blackbox", "cpt")
+# Flags spelled differently from their config field's name; every other
+# config field ``a.b_c`` is the flag ``--b-c`` (``--no-b-c`` when it
+# defaults to true).
+_FLAG_NAMES = {
+    ("cpt", "n_restarts"): "--restarts",
+    ("cpt", "seed"): "--cpt-seed",
+    ("emit_svg",): "--no-svg",
+}
+
+# The config fields and sections that ``fit`` takes flags for.
+_FIT_FIELDS = ("l2", "standardize_blackbox", "cpt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,24 +62,45 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _parse_true_coeffs(text: str) -> tuple[float, ...]:
+def _numbers(text: str) -> list[float]:
     try:
-        coeffs = tuple(float(part) for part in text.split(","))
+        return [float(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"--true-coeffs must be comma-separated numbers, got {text!r}")
-    if len(coeffs) != 5:
-        raise UsageError(f"--true-coeffs needs exactly 5 values, got {len(coeffs)}")
-    return coeffs
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}")
+
+
+def _add_config_flags(parser, wanted) -> None:
+    """Add a flag for each config field whose path satisfies ``wanted``."""
+    for path, default in config_fields():
+        if not wanted(path):
+            continue
+        name = path[-1].replace("_", "-")
+        flag = _FLAG_NAMES.get(path, f"--no-{name}" if default is True else f"--{name}")
+        dest = ".".join(path)
+        if isinstance(default, bool):
+            how = {"action": "store_const", "const": not default}
+        else:
+            how = {"type": _numbers if isinstance(default, tuple) else type(default)}
+        parser.add_argument(flag, dest=dest, help=f"config {dest}, default {default!r}", **how)
+
+
+def _config(args, doc: dict) -> ExperimentConfig:
+    """The validated config: ``doc`` with every given config flag set in it."""
+    for path, _ in config_fields():
+        value = getattr(args, ".".join(path), None)
+        if value is None:
+            continue
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{key} must be an object")
+        section[path[-1]] = value
+    return ExperimentConfig.from_json_dict(doc)
 
 
 def cmd_generate(args) -> int:
-    cfg = GeneratorConfig(
-        n=args.n,
-        seed=args.seed,
-        true_coeffs=_parse_true_coeffs(args.true_coeffs)
-        if args.true_coeffs
-        else GeneratorConfig().true_coeffs,
-    )
+    cfg = _config(args, {}).generator
     out = _out_dir(args)
     csv_path = out / "dataset.csv"
     write_dataset_csv(generate_dataset(cfg), csv_path)
@@ -104,66 +126,20 @@ def _print_cpt_table(fit) -> None:
 
 
 def cmd_fit(args) -> int:
+    cfg = _config(args, {})
     arrays = read_dataset_csv(args.dataset)
     out = _out_dir(args)
 
-    if args.model in ("symbolic", "blackbox"):
-        names = SYMBOLIC_NAMES if args.model == "symbolic" else RAW_NAMES
-        X = design_matrix(arrays, names)
-        fit = fit_logistic(
-            X,
-            arrays.choice,
-            args.l2,
-            feature_names=names,
-            standardize=(args.model == "blackbox" and args.standardize_blackbox),
-        )
-        if not fit.converged:
-            for note in fit.diagnostics:
-                log.warning("%s", note)
-        doc = {"model": args.model, **fit.to_json_dict()}
-        _print_coeff_table(fit.feature_names, fit.coeffs, fit.std_errors)
-    else:
-        fit = fit_cpt(
-            arrays,
-            n_restarts=args.restarts,
-            seed=args.cpt_seed,
-            gamma_max=args.gamma_max,
-        )
-        doc = {"model": "cpt", **fit.to_json_dict()}
+    fit = fit_model(args.model, arrays, cfg)
+    if args.model == "cpt":
         _print_cpt_table(fit)
+    else:
+        _print_coeff_table(fit.feature_names, fit.coeffs, fit.std_errors)
 
     path = out / f"{args.model}_model.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+    path.write_text(json.dumps(model_doc(args.model, fit), indent=2) + "\n", encoding="ascii")
     log.info("wrote %s", path)
     return 0
-
-
-def _probs_from_model_doc(doc: dict, arrays) -> np.ndarray:
-    kind = doc.get("model")
-    if kind in ("symbolic", "blackbox"):
-        try:
-            features = doc["features"]
-            coeffs = np.asarray(doc["coeffs"], dtype=float)
-        except KeyError as exc:
-            raise DataParseError(f"model JSON missing key {exc}") from exc
-        if len(features) != coeffs.shape[0]:
-            raise DataParseError("model JSON features and coeffs lengths differ")
-        if not np.all(np.isfinite(coeffs)):
-            raise DataParseError("model JSON coeffs must all be finite")
-        return sigmoid(design_matrix(arrays, features) @ coeffs)
-    if kind == "cpt":
-        try:
-            params = CptParams(
-                alpha=doc["alpha"],
-                beta=doc["beta"],
-                lam=doc["lambda"],
-                gamma=doc["gamma"],
-                eta=doc["eta"],
-            )
-        except KeyError as exc:
-            raise DataParseError(f"model JSON missing key {exc}") from exc
-        return choice_prob_array(arrays, params)
-    raise DataParseError(f"model JSON has unknown model kind {kind!r}")
 
 
 def cmd_evaluate(args) -> int:
@@ -176,17 +152,11 @@ def cmd_evaluate(args) -> int:
         raise DataParseError(f"model JSON unreadable: {exc}") from exc
 
     arrays = read_dataset_csv(args.dataset)
-    probs = _probs_from_model_doc(doc, arrays)
-
-    acc = accuracy(probs, arrays.choice)
-    try:
-        auc_value = auc(probs, arrays.choice)
-    except UndefinedMetricError as exc:
-        log.warning("%s", exc)
-        auc_value = None
+    probs = model_probs(doc, arrays)  # checks the document first
+    m = heldout_metrics(doc["model"], probs, arrays.choice)
 
     out = _out_dir(args)
-    metrics = {"accuracy": acc, "auc": auc_value, "n_test": len(arrays)}
+    metrics = {"accuracy": m.accuracy, "auc": m.auc, "n_test": m.n_test}
     path = out / "metrics.json"
     path.write_text(json.dumps(metrics, indent=2) + "\n", encoding="ascii")
     print(json.dumps(metrics, indent=2))
@@ -194,8 +164,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    doc: dict = {}
+def cmd_experiment(args) -> int:
+    doc = {}
     if args.config is not None:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
@@ -206,49 +176,10 @@ def _experiment_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file unreadable: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-
-    def set_gen(key, value):
-        doc.setdefault("generator", {})[key] = value
-
-    def set_cpt(key, value):
-        doc.setdefault("cpt", {})[key] = value
-
-    if args.n is not None:
-        set_gen("n", args.n)
-    if args.seed is not None:
-        set_gen("seed", args.seed)
-    if args.true_coeffs is not None:
-        set_gen("true_coeffs", list(_parse_true_coeffs(args.true_coeffs)))
-    if args.split_seed is not None:
-        doc["split_seed"] = args.split_seed
-    if args.train_frac is not None:
-        doc["train_frac"] = args.train_frac
-    if args.tau_v is not None:
-        doc["tau_v"] = args.tau_v
-    if args.tau_eta is not None:
-        doc["tau_eta"] = args.tau_eta
-    if args.l2 is not None:
-        doc["l2"] = args.l2
-    if args.restarts is not None:
-        set_cpt("n_restarts", args.restarts)
-    if args.cpt_seed is not None:
-        set_cpt("seed", args.cpt_seed)
-    if args.gamma_max is not None:
-        set_cpt("gamma_max", args.gamma_max)
-    if args.select_on_full:
-        doc["select_on_full"] = True
-    if args.standardize_blackbox:
-        doc["standardize_blackbox"] = True
-    if args.no_svg:
-        doc["emit_svg"] = False
-    return ExperimentConfig.from_json_dict(doc)
-
-
-def cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _config(args, doc)
     out = _out_dir(args)
     report = run_experiment(cfg, out)
-    for key in ("symbolic", "blackbox", "cpt"):
+    for key in MODEL_KEYS:
         m = report.metrics[key]
         auc_s = "undefined" if m.auc is None else f"{m.auc:.4f}"
         log.info("%s: accuracy=%.4f auc=%s", m.model_name, m.accuracy, auc_s)
@@ -266,31 +197,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    p_gen.add_argument("--n", type=int, default=5000, help="number of scenarios")
-    p_gen.add_argument("--seed", type=int, default=42, help="generator seed")
-    p_gen.add_argument(
-        "--true-coeffs",
-        type=str,
-        default=None,
-        help="comma-separated latent-utility coefficients (5 values)",
-    )
+    _add_config_flags(p_gen, lambda path: path[0] == "generator")
     p_gen.add_argument("--out", type=str, default=None, help="output directory")
     p_gen.set_defaults(func=cmd_generate)
 
     p_fit = sub.add_parser("fit", help="fit one model to a dataset CSV")
-    p_fit.add_argument("model", choices=MODEL_CHOICES)
+    p_fit.add_argument("model", choices=MODEL_KEYS)
     p_fit.add_argument("dataset", help="path to a dataset CSV")
-    p_fit.add_argument("--l2", type=float, default=0.0, help="L2 penalty strength")
-    p_fit.add_argument(
-        "--standardize-blackbox",
-        action="store_true",
-        help="standardize raw columns before the blackbox fit",
-    )
-    p_fit.add_argument("--restarts", type=int, default=20, help="cpt restarts")
-    p_fit.add_argument("--cpt-seed", type=int, default=7, help="cpt restart seed")
-    p_fit.add_argument(
-        "--gamma-max", type=float, default=5.0, help="upper bound for gamma"
-    )
+    _add_config_flags(p_fit, lambda path: path[0] in _FIT_FIELDS)
     p_fit.add_argument("--out", type=str, default=None, help="output directory")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -302,20 +216,7 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run the full pipeline")
     p_exp.add_argument("--config", type=str, default=None, help="JSON config file")
-    p_exp.add_argument("--n", type=int, default=None)
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--true-coeffs", type=str, default=None)
-    p_exp.add_argument("--split-seed", type=int, default=None)
-    p_exp.add_argument("--train-frac", type=float, default=None)
-    p_exp.add_argument("--tau-v", type=float, default=None)
-    p_exp.add_argument("--tau-eta", type=float, default=None)
-    p_exp.add_argument("--l2", type=float, default=None)
-    p_exp.add_argument("--restarts", type=int, default=None)
-    p_exp.add_argument("--cpt-seed", type=int, default=None)
-    p_exp.add_argument("--gamma-max", type=float, default=None)
-    p_exp.add_argument("--select-on-full", action="store_true")
-    p_exp.add_argument("--standardize-blackbox", action="store_true")
-    p_exp.add_argument("--no-svg", action="store_true")
+    _add_config_flags(p_exp, lambda path: True)
     p_exp.add_argument("--out", type=str, default=None, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -333,15 +234,12 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataParseError, InputError) as exc:
+    except (InputError, OSError) as exc:  # DataParseError is an InputError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -94,38 +94,6 @@ DEFAULT_CANDIDATES: tuple[Candidate, ...] = (
 )
 
 
-def symbolic_matrix(safe, risky, p, frame) -> np.ndarray:
-    """Stack symbolic feature columns (intercept, frame, low_prob, magnitude,
-    dominance) for vectors of scenario attributes."""
-    safe = np.asarray(safe, dtype=float)
-    risky = np.asarray(risky, dtype=float)
-    p = np.asarray(p, dtype=float)
-    frame = np.asarray(frame, dtype=float)
-    return np.column_stack(
-        [
-            np.ones_like(safe),
-            frame,
-            (p < 0.2).astype(float),
-            (risky - safe) / 100.0,
-            (p * risky > safe).astype(float),
-        ]
-    )
-
-
-def raw_matrix(safe, risky, p, frame) -> np.ndarray:
-    """Stack raw feature columns (intercept, safe, risky, p, frame)."""
-    safe = np.asarray(safe, dtype=float)
-    return np.column_stack(
-        [
-            np.ones_like(safe),
-            safe,
-            np.asarray(risky, dtype=float),
-            np.asarray(p, dtype=float),
-            np.asarray(frame, dtype=float),
-        ]
-    )
-
-
 def design_matrix(arrays: ScenarioArrays, names) -> np.ndarray:
     """Build a design matrix with the given feature columns, in order."""
     cols = []

@@ -58,9 +58,11 @@ def log_likelihood(coeffs, X, y) -> float:
     Evaluated as -sum(logaddexp(0, (1-2y) z)), which is exact in the well-
     scaled region and never returns -inf for finite inputs.
     """
-    coeffs, X, y = _check_shapes(coeffs, X, y)
-    z = X @ coeffs
-    return float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * z)))
+    return _log_likelihood(*_check_shapes(coeffs, X, y))
+
+
+def _log_likelihood(coeffs, X, y) -> float:
+    return float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ coeffs))))
 
 
 def _penalty_mask(k: int) -> np.ndarray:
@@ -88,8 +90,7 @@ def gradient_and_hessian(coeffs, X, y, l2_strength: float = 0.0):
 
 
 def _penalized_ll(coeffs, X, y, l2_strength, mask) -> float:
-    ll = float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ coeffs))))
-    return ll - 0.5 * l2_strength * float(np.sum(mask * coeffs**2))
+    return _log_likelihood(coeffs, X, y) - 0.5 * l2_strength * float(np.sum(mask * coeffs**2))
 
 
 @dataclass

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import cpt as cpt_mod
 from .charts import svg_line_chart
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, DataParseError, UndefinedMetricError
 from .evaluation import (
     INTERPRETABILITY,
     MODEL_LABELS,
@@ -31,6 +31,7 @@ from .features import (
     DEFAULT_TAU_ETA,
     DEFAULT_TAU_V,
     RAW_NAMES,
+    SYMBOLIC_NAMES,
     EffectSizeReport,
     design_matrix,
     select_features,
@@ -38,6 +39,7 @@ from .features import (
 from .glm import FittedLogistic, fit_logistic, sigmoid
 from .scenario import (  # noqa: F401  (as_arrays stays importable from here)
     GeneratorConfig,
+    ScenarioArrays,
     as_arrays,
     generate_dataset,
     write_dataset_csv,
@@ -48,6 +50,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_TRAIN_FRAC = 0.8
+
+# The three model families, in table order.
+MODEL_KEYS = ("symbolic", "blackbox", "cpt")
 
 
 def _fmt(x: float) -> str:
@@ -67,8 +72,12 @@ class CptSettings:
             raise ConfigError(f"cpt n_restarts must be a positive integer, got {self.n_restarts!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"cpt seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.gamma_max, (int, float)) and self.gamma_max > 0):
-            raise ConfigError(f"gamma_max must be positive, got {self.gamma_max!r}")
+        if not (
+            isinstance(self.gamma_max, (int, float))
+            and math.isfinite(self.gamma_max)
+            and self.gamma_max > 0
+        ):
+            raise ConfigError(f"gamma_max must be positive and finite, got {self.gamma_max!r}")
 
 
 @dataclass(frozen=True)
@@ -97,61 +106,68 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a nonnegative number, got {v!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "generator": {
-                "n": self.generator.n,
-                "seed": self.generator.seed,
-                "true_coeffs": list(self.generator.true_coeffs),
-            },
-            "train_frac": self.train_frac,
-            "split_seed": self.split_seed,
-            "tau_v": self.tau_v,
-            "tau_eta": self.tau_eta,
-            "l2": self.l2,
-            "select_on_full": self.select_on_full,
-            "standardize_blackbox": self.standardize_blackbox,
-            "cpt": {
-                "n_restarts": self.cpt.n_restarts,
-                "seed": self.cpt.seed,
-                "gamma_max": self.cpt.gamma_max,
-            },
-            "emit_svg": self.emit_svg,
-        }
+        return asdict(
+            self, dict_factory=lambda kv: {k: list(v) if isinstance(v, tuple) else v for k, v in kv}
+        )
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build a config from its JSON mirror, rejecting unknown keys."""
+        """Build a config from its JSON mirror, rejecting unknown keys and
+        values whose JSON type differs from the field's default."""
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "generator" in kwargs:
-            gen = kwargs["generator"]
-            if not isinstance(gen, dict):
-                raise ConfigError("generator must be an object")
-            gen_known = {"n", "seed", "true_coeffs"}
-            gen_unknown = set(gen) - gen_known
-            if gen_unknown:
-                raise ConfigError(f"unknown generator keys: {sorted(gen_unknown)}")
-            if "true_coeffs" in gen:
-                gen = dict(gen, true_coeffs=tuple(gen["true_coeffs"]))
-            kwargs["generator"] = GeneratorConfig(**gen)
-        if "cpt" in kwargs:
-            cpt_doc = kwargs["cpt"]
-            if not isinstance(cpt_doc, dict):
-                raise ConfigError("cpt must be an object")
-            cpt_known = {"n_restarts", "seed", "gamma_max"}
-            cpt_unknown = set(cpt_doc) - cpt_known
-            if cpt_unknown:
-                raise ConfigError(f"unknown cpt keys: {sorted(cpt_unknown)}")
-            kwargs["cpt"] = CptSettings(**cpt_doc)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _from_json(cls, doc, "config")
+
+
+def config_fields(cfg=ExperimentConfig(), prefix: tuple[str, ...] = ()):
+    """Yield ``(path, default)`` for every leaf field of a config, in
+    declaration order; ``path`` names the sections down to the field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from config_fields(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,), value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(map(check, value))
+
+
+def _checked(name: str, value, default):
+    """``value`` if its JSON type matches ``default``'s; raises ConfigError."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = _is_number(value) and isinstance(value, int), "an integer"
+    elif isinstance(default, tuple):
+        ok, want = _is_list_of(value, _is_number), "a list of numbers"
+    else:
+        ok, want = _is_number(value), "a number"
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _from_json(cls, doc: dict, section: str):
+    defaults = cls()
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in doc.items():
+        default = getattr(defaults, name)
+        if not is_dataclass(default):
+            kwargs[name] = _checked(name, value, default)
+        elif isinstance(value, dict):
+            kwargs[name] = _from_json(type(default), value, name)
+        else:
+            raise ConfigError(f"{name} must be an object")
+    return cls(**kwargs)
 
 
 @dataclass
@@ -169,7 +185,77 @@ class ExperimentReport:
     out_dir: Path
 
 
-def _safe_metrics(key: str, probs, y) -> EvalMetrics:
+def fit_model(
+    key: str, train: ScenarioArrays, cfg: ExperimentConfig, symbolic_names=SYMBOLIC_NAMES
+):
+    """Fit model family ``key`` (one of MODEL_KEYS) on ``train``.
+
+    The symbolic model uses the feature columns ``symbolic_names``, the
+    black-box model the raw columns; both are logistic fits with ``cfg.l2``.
+    CPT is fit with ``cfg.cpt``.
+    """
+    if key == "cpt":
+        return cpt_mod.fit_cpt(
+            train, n_restarts=cfg.cpt.n_restarts, seed=cfg.cpt.seed, gamma_max=cfg.cpt.gamma_max
+        )
+    names = symbolic_names if key == "symbolic" else RAW_NAMES
+    fit = fit_logistic(
+        design_matrix(train, names),
+        train.choice,
+        cfg.l2,
+        feature_names=names,
+        standardize=key == "blackbox" and cfg.standardize_blackbox,
+    )
+    if not fit.converged:
+        for note in fit.diagnostics:
+            log.warning("%s", note)
+    return fit
+
+
+def model_doc(key: str, fit) -> dict:
+    """The saved form of a fitted model, as ``evaluate`` reads it."""
+    return {"model": key, **fit.to_json_dict()}
+
+
+def _doc_value(doc: dict, key: str, ok, want: str):
+    if key not in doc:
+        raise DataParseError(f"model JSON missing key {key!r}")
+    if not ok(doc[key]):
+        raise DataParseError(f"model JSON {key} must be {want}, got {doc[key]!r}")
+    return doc[key]
+
+
+def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
+    """P(risky) for each scenario under a model document (see model_doc).
+
+    Raises
+    ------
+    DataParseError
+        If the document is not a well-formed model of one of MODEL_KEYS.
+    """
+    if not isinstance(doc, dict):
+        raise DataParseError("model JSON must hold an object")
+    key = doc.get("model")
+    if key == "cpt":
+        values = [_doc_value(doc, name, _is_number, "a number") for name in cpt_mod.PARAM_NAMES]
+        return cpt_mod.choice_prob_array(arrays, cpt_mod.CptParams(*values))
+    if key not in MODEL_KEYS:
+        raise DataParseError(f"model JSON has unknown model kind {key!r}")
+    features = _doc_value(
+        doc, "features", lambda v: _is_list_of(v, lambda s: isinstance(s, str)), "a list of names"
+    )
+    coeffs = _doc_value(doc, "coeffs", lambda v: _is_list_of(v, _is_number), "a list of numbers")
+    if len(features) != len(coeffs):
+        raise DataParseError("model JSON features and coeffs lengths differ")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise DataParseError("model JSON coeffs must all be finite")
+    return sigmoid(design_matrix(arrays, features) @ coeffs)
+
+
+def heldout_metrics(key: str, probs, y) -> EvalMetrics:
+    """Accuracy and AUC of model family ``key``; the AUC is None, with a
+    warning, when ``y`` holds a single class."""
     try:
         return evaluate_predictions(key, probs, y)
     except UndefinedMetricError as exc:
@@ -183,7 +269,7 @@ def _safe_metrics(key: str, probs, y) -> EvalMetrics:
         )
 
 
-def _write_table1(path: Path, rows: list[EvalMetrics]) -> None:
+def _table1_text(rows) -> str:
     lines = [
         "# interpretability is a fixed qualitative label per model family, not a computed metric",
         "model,accuracy,auc,interpretability",
@@ -191,14 +277,14 @@ def _write_table1(path: Path, rows: list[EvalMetrics]) -> None:
     for m in rows:
         auc_s = "" if m.auc is None else _fmt(m.auc)
         lines.append(f"{m.model_name},{_fmt(m.accuracy)},{auc_s},{m.interpretability_label}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
-def _write_curve(path: Path, header: tuple[str, str], curve: np.ndarray) -> None:
+def _curve_text(header: tuple[str, str], curve: np.ndarray) -> str:
     lines = [",".join(header)]
     for a, b in curve:
         lines.append(f"{_fmt(a)},{_fmt(b)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
 def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
@@ -222,7 +308,7 @@ def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
     }
 
 
-def _write_reflection(path: Path, reflection: dict) -> None:
+def _reflection_text(reflection: dict) -> str:
     held = reflection["held"]
     lines = [
         "# predicted risky-choice probability by frame, other features held fixed:",
@@ -232,7 +318,7 @@ def _write_reflection(path: Path, reflection: dict) -> None:
     ]
     for frame, p in reflection["rows"]:
         lines.append(f"{int(frame)},{_fmt(p)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
@@ -273,66 +359,31 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
             json.dumps(effect_report.to_json_list(), indent=2) + "\n",
         )
 
-        stage = "fit_symbolic"
-        X_sym = design_matrix(train, retained)
-        symbolic = fit_logistic(X_sym, train.choice, cfg.l2, feature_names=retained)
-        emit(
-            "symbolic_model.json",
-            json.dumps({"model": "symbolic", **symbolic.to_json_dict()}, indent=2) + "\n",
-        )
-
-        stage = "fit_blackbox"
-        X_raw = design_matrix(train, RAW_NAMES)
-        blackbox = fit_logistic(
-            X_raw,
-            train.choice,
-            cfg.l2,
-            feature_names=RAW_NAMES,
-            standardize=cfg.standardize_blackbox,
-        )
-        emit(
-            "blackbox_model.json",
-            json.dumps({"model": "blackbox", **blackbox.to_json_dict()}, indent=2) + "\n",
-        )
-
-        stage = "fit_cpt"
-        cpt_fit = cpt_mod.fit_cpt(
-            train,
-            n_restarts=cfg.cpt.n_restarts,
-            seed=cfg.cpt.seed,
-            gamma_max=cfg.cpt.gamma_max,
-        )
-        emit(
-            "cpt_model.json",
-            json.dumps({"model": "cpt", **cpt_fit.to_json_dict()}, indent=2) + "\n",
-        )
+        fits, docs = {}, {}
+        for key in MODEL_KEYS:
+            stage = f"fit_{key}"
+            fits[key] = fit_model(key, train, cfg, retained)
+            docs[key] = model_doc(key, fits[key])
+            emit(f"{key}_model.json", json.dumps(docs[key], indent=2) + "\n")
 
         stage = "evaluate"
-        y_test = test.choice
-        sym_probs = symbolic.predict(design_matrix(test, retained))
-        raw_probs = blackbox.predict(design_matrix(test, RAW_NAMES))
-        cpt_probs = cpt_mod.choice_prob_array(test, cpt_fit.params)
         metrics = {
-            "symbolic": _safe_metrics("symbolic", sym_probs, y_test),
-            "blackbox": _safe_metrics("blackbox", raw_probs, y_test),
-            "cpt": _safe_metrics("cpt", cpt_probs, y_test),
+            key: heldout_metrics(key, model_probs(docs[key], test), test.choice)
+            for key in MODEL_KEYS
         }
-        _write_table1(out / "table1.csv", [metrics[k] for k in ("symbolic", "blackbox", "cpt")])
-        manifest.append("table1.csv")
+        emit("table1.csv", _table1_text(metrics.values()))
 
         stage = "reflection"
         magnitude_median = float(np.median((train.risky - train.safe) / 100.0))
-        reflection = _reflection_rows(symbolic, magnitude_median)
-        _write_reflection(out / "reflection.csv", reflection)
-        manifest.append("reflection.csv")
+        reflection = _reflection_rows(fits["symbolic"], magnitude_median)
+        emit("reflection.csv", _reflection_text(reflection))
 
         stage = "curves"
-        value_curve = cpt_mod.sample_value_curve(cpt_fit.params)
-        weight_curve = cpt_mod.sample_weight_curve(cpt_fit.params)
-        _write_curve(out / "value_curve.csv", ("x", "v"), value_curve)
-        manifest.append("value_curve.csv")
-        _write_curve(out / "weight_curve.csv", ("p", "w"), weight_curve)
-        manifest.append("weight_curve.csv")
+        cpt_params = fits["cpt"].params
+        value_curve = cpt_mod.sample_value_curve(cpt_params)
+        weight_curve = cpt_mod.sample_weight_curve(cpt_params)
+        emit("value_curve.csv", _curve_text(("x", "v"), value_curve))
+        emit("weight_curve.csv", _curve_text(("p", "w"), weight_curve))
         if cfg.emit_svg:
             emit(
                 "value_curve.svg",
@@ -364,18 +415,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
             "effect_sizes": effect_report.to_json_list(),
             "retained_features": list(retained),
             "models": {
-                "symbolic": {
-                    "fit": symbolic.to_json_dict(),
-                    "metrics": metrics["symbolic"].to_json_dict(),
-                },
-                "blackbox": {
-                    "fit": blackbox.to_json_dict(),
-                    "metrics": metrics["blackbox"].to_json_dict(),
-                },
-                "cpt": {
-                    "fit": cpt_fit.to_json_dict(),
-                    "metrics": metrics["cpt"].to_json_dict(),
-                },
+                key: {"fit": fits[key].to_json_dict(), "metrics": metrics[key].to_json_dict()}
+                for key in MODEL_KEYS
             },
             "reflection": {
                 "held": reflection["held"],
@@ -404,9 +445,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
     return ExperimentReport(
         config=cfg,
         effect_report=effect_report,
-        symbolic=symbolic,
-        blackbox=blackbox,
-        cpt_fit=cpt_fit,
+        symbolic=fits["symbolic"],
+        blackbox=fits["blackbox"],
+        cpt_fit=fits["cpt"],
         metrics=metrics,
         reflection=reflection,
         manifest=manifest,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ _CSV_CHUNK_ROWS = 1 << 16
 _EXTRA_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 _NON_BLANK = re.compile(r"\S")
+
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -180,7 +182,7 @@ def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
     Determinism contract: the draw order is fixed (safe, risky, p, frame,
     choice uniforms), so identical configs produce bit-identical datasets.
     """
-    from .features import symbolic_matrix
+    from .features import SYMBOLIC_NAMES, design_matrix
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n
@@ -189,11 +191,13 @@ def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
     p = rng.uniform(0.1, 0.9, n)
     frame = rng.integers(0, 2, n) * 2 - 1
 
-    utility = symbolic_matrix(safe, risky, p, frame.astype(float)) @ np.asarray(cfg.true_coeffs)
-    choice = (rng.random(n) < sigmoid(utility)).astype(np.int64)
-    return ScenarioArrays(
-        id=np.arange(n, dtype=np.int64), safe=safe, risky=risky, p=p, frame=frame, choice=choice
+    unchosen = ScenarioArrays(
+        id=np.arange(n, dtype=np.int64), safe=safe, risky=risky, p=p, frame=frame,
+        choice=np.zeros(n, dtype=np.int64),
     )
+    utility = design_matrix(unchosen, SYMBOLIC_NAMES) @ np.asarray(cfg.true_coeffs)
+    choice = (rng.random(n) < sigmoid(utility)).astype(np.int64)
+    return replace(unchosen, choice=choice)
 
 
 def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
@@ -210,14 +214,22 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
 def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     """Load and validate a scenario CSV written by :func:`write_dataset_csv`.
 
-    Blank lines are skipped. A malformed line, or one whose scenario breaks a
-    :class:`ScenarioArrays` rule, raises :class:`DataParseError` naming its
-    line number.
+    Blank lines are skipped. A non-ASCII byte, a malformed line, or a line
+    whose scenario breaks a :class:`ScenarioArrays` rule raises
+    :class:`DataParseError` naming its line number; a non-ASCII byte is
+    reported before any other fault.
     """
     path = Path(path)
     if not path.exists():
         raise DataParseError(f"dataset file not found: {path}")
-    text = path.read_text(encoding="ascii")
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raw = path.read_bytes()
+        at = _NON_ASCII.search(raw).start()
+        # the line that holds the byte, counted as str.splitlines counts lines
+        line = len((raw[:at].decode("ascii") + "x").splitlines())
+        raise DataParseError(f"non-ASCII byte 0x{raw[at]:02x}", line=line) from None
     first_break = text.find("\n")
     if (
         first_break >= 0

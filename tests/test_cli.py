@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
-from riskchoice.cli import main
+from riskchoice.cli import _config, build_parser, main
 from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
+from riskchoice.pipeline import CptSettings, ExperimentConfig
 from riskchoice.scenario import write_dataset_csv
 
 
@@ -104,6 +106,22 @@ class TestFit:
     def test_unknown_model_is_usage_error(self, dataset_csv):
         assert run_cli("fit", "oracle", str(dataset_csv)) == 1
 
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("cpt", ["--restarts", "0"]),
+            ("cpt", ["--gamma-max", "inf"]),
+            ("cpt", ["--cpt-seed", "-1"]),
+            ("symbolic", ["--l2", "-1"]),
+            ("blackbox", ["--l2", "nan"]),
+        ],
+    )
+    def test_bad_settings_are_config_errors(self, dataset_csv, tmp_path, model, flags):
+        # the settings are checked as experiment checks them, before any fit
+        out = tmp_path / "out"
+        assert run_cli("fit", model, str(dataset_csv), *flags, "--out", str(out)) == 1
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_true_model_matches_bayes_rate(self, tmp_path):
@@ -168,6 +186,18 @@ class TestEvaluate:
         assert run_cli("evaluate", str(model_path), str(dataset_csv)) == 2
         model_path.write_text(json.dumps({"model": "cpt", "alpha": 0.5}))
         assert run_cli("evaluate", str(model_path), str(dataset_csv)) == 2
+        cpt_doc = {"model": "cpt", "alpha": 0.8, "beta": 0.8, "lambda": 1.5, "gamma": 1.0, "eta": 0.1}
+        for doc in (
+            {"model": "symbolic", "features": ["intercept"], "coeffs": ["a"]},
+            {"model": "symbolic", "features": ["intercept"], "coeffs": 5},
+            {"model": "blackbox", "features": "intercept", "coeffs": [0.5]},
+            {"model": "symbolic", "features": ["intercept"], "coeffs": [True]},
+            [1, 2],
+            dict(cpt_doc, gamma="1.0"),
+            dict(cpt_doc, eta=None),
+        ):
+            model_path.write_text(json.dumps(doc))
+            assert run_cli("evaluate", str(model_path), str(dataset_csv)) == 2, doc
 
     @pytest.mark.parametrize("kind, names", [("symbolic", SYMBOLIC_NAMES), ("blackbox", RAW_NAMES)])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -255,6 +285,21 @@ class TestExperiment:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json")) == 1
 
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ({"select_on_full": "yes"}, []),
+            ({"generator": [1]}, ["--n", "100"]),
+            ({}, ["--gamma-max", "inf"]),
+        ],
+    )
+    def test_ill_typed_config_is_config_error(self, tmp_path, doc, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), *flags, "--out", str(out)) == 1
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_arguments(self):
@@ -262,6 +307,41 @@ class TestUsage:
 
     def test_unknown_flag(self, tmp_path):
         assert run_cli("generate", "--frobnicate", "--out", str(tmp_path)) == 1
+
+    def test_flag_sets(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def flags(command):
+            return {f for a in sub.choices[command]._actions for f in a.option_strings} - {
+                "-h", "--help"
+            }
+
+        assert flags("generate") == {"--n", "--seed", "--true-coeffs", "--out"}
+        assert flags("fit") == {
+            "--l2", "--standardize-blackbox", "--restarts", "--cpt-seed", "--gamma-max", "--out"
+        }
+        assert flags("experiment") == {
+            "--n", "--seed", "--true-coeffs", "--train-frac", "--split-seed", "--tau-v",
+            "--tau-eta", "--l2", "--select-on-full", "--standardize-blackbox", "--restarts",
+            "--cpt-seed", "--gamma-max", "--no-svg", "--config", "--out",
+        }
+        assert flags("evaluate") == {"--out"}
+
+    def test_flags_set_their_config_fields(self):
+        argv = [
+            "experiment", "--n", "300", "--seed", "3", "--true-coeffs=1,2,3,4,5",
+            "--train-frac", "0.7", "--split-seed", "4", "--tau-v", "0.2", "--tau-eta", "0.03",
+            "--l2", "0.5", "--select-on-full", "--standardize-blackbox", "--restarts", "6",
+            "--cpt-seed", "8", "--gamma-max", "4", "--no-svg",
+        ]
+        cfg = _config(build_parser().parse_args(argv), {})
+        assert cfg == ExperimentConfig(
+            generator=GeneratorConfig(n=300, seed=3, true_coeffs=(1, 2, 3, 4, 5)),
+            train_frac=0.7, split_seed=4, tau_v=0.2, tau_eta=0.03, l2=0.5,
+            select_on_full=True, standardize_blackbox=True,
+            cpt=CptSettings(n_restarts=6, seed=8, gamma_max=4.0), emit_svg=False,
+        )
+        assert _config(build_parser().parse_args(["experiment"]), {}) == ExperimentConfig()
 
 
 def test_module_entry_point(tmp_path):

@@ -18,8 +18,6 @@ from riskchoice.features import (
     RAW_NAMES,
     SYMBOLIC_NAMES,
     Candidate,
-    raw_matrix,
-    symbolic_matrix,
 )
 
 
@@ -78,15 +76,18 @@ class TestFeatureMaps:
             rng.uniform(0.1, 0.9, n),
             rng.integers(0, 2, n) * 2 - 1,
         )
-        cols = (arrays.safe, arrays.risky, arrays.p, arrays.frame)
-        np.testing.assert_array_equal(
-            symbolic_matrix(*cols), design_matrix(arrays, SYMBOLIC_NAMES)
-        )
-        np.testing.assert_array_equal(raw_matrix(*cols), design_matrix(arrays, RAW_NAMES))
+        symbolic = design_matrix(arrays, SYMBOLIC_NAMES)
+        raw = design_matrix(arrays, RAW_NAMES)
         for i in range(n):
-            one = [arrays.safe[i], arrays.risky[i], arrays.p[i], arrays.frame[i]]
-            np.testing.assert_array_equal(_symbolic_row(*one), symbolic_matrix(*cols)[i])
-            np.testing.assert_array_equal(_raw_row(*one), raw_matrix(*cols)[i])
+            safe, risky, p, frame = arrays.safe[i], arrays.risky[i], arrays.p[i], arrays.frame[i]
+            # the per-scenario maps written out, one scalar at a time
+            np.testing.assert_array_equal(
+                symbolic[i],
+                [1.0, float(frame), float(p < 0.2), (risky - safe) / 100.0, float(p * risky > safe)],
+            )
+            np.testing.assert_array_equal(raw[i], [1.0, safe, risky, p, float(frame)])
+            np.testing.assert_array_equal(_symbolic_row(safe, risky, p, frame), symbolic[i])
+            np.testing.assert_array_equal(_raw_row(safe, risky, p, frame), raw[i])
 
 
 class TestCramersV:

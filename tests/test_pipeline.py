@@ -45,6 +45,9 @@ class TestConfig:
             CptSettings(n_restarts=0)
         with pytest.raises(ConfigError):
             CptSettings(gamma_max=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="gamma_max"):
+                CptSettings(gamma_max=bad)
 
     def test_json_round_trip(self):
         cfg = small_config(train_frac=0.75, l2=0.5, select_on_full=True)
@@ -58,6 +61,35 @@ class TestConfig:
             ExperimentConfig.from_json_dict({"generator": {"m": 10}})
         with pytest.raises(ConfigError, match="unknown cpt keys"):
             ExperimentConfig.from_json_dict({"cpt": {"iterations": 5}})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"select_on_full": "yes"}, "select_on_full must be true or false"),
+            ({"emit_svg": 0}, "emit_svg must be true or false"),
+            ({"cpt": {"n_restarts": True}}, "n_restarts must be an integer"),
+            ({"split_seed": 1.5}, "split_seed must be an integer"),
+            ({"generator": {"true_coeffs": 5}}, "true_coeffs must be a list of numbers"),
+            ({"generator": {"true_coeffs": "abcde"}}, "true_coeffs must be a list of numbers"),
+            ({"generator": {"true_coeffs": [1, 2, 3, 4, False]}}, "list of numbers"),
+            ({"l2": "0.5"}, "l2 must be a number"),
+            ({"generator": [1]}, "generator must be an object"),
+            ({"cpt": None}, "cpt must be an object"),
+        ],
+    )
+    def test_ill_typed_values_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_json_keeps_the_field_order(self):
+        doc = ExperimentConfig().to_json_dict()
+        assert list(doc) == [
+            "generator", "train_frac", "split_seed", "tau_v", "tau_eta", "l2",
+            "select_on_full", "standardize_blackbox", "cpt", "emit_svg",
+        ]
+        assert list(doc["generator"]) == ["n", "seed", "true_coeffs"]
+        assert list(doc["cpt"]) == ["n_restarts", "seed", "gamma_max"]
+        assert doc["generator"]["true_coeffs"] == [-0.5, -0.8, 0.9, 1.2, 1.5]
 
     def test_partial_documents_use_defaults(self):
         cfg = ExperimentConfig.from_json_dict({"generator": {"n": 123}})

@@ -366,6 +366,11 @@ def corrupt(fields, kind, pick):
         fields[5] = "2"
     elif kind == "inf_payoff":
         fields[1 + pick % 2] = ("inf", "-inf", "nan")[pick % 3]
+    elif kind == "non_ascii":
+        i = pick % len(fields)
+        # a no-break space (bytes c2 a0), which float() would strip, an
+        # accented letter, or a minus sign in place of the hyphen
+        fields[i] = ("\u00a0" + fields[i], fields[i] + "\u00e9", "\u2212" + fields[i])[pick % 3]
     return fields
 
 
@@ -382,6 +387,7 @@ def corrupt(fields, kind, pick):
             "frame_zero",
             "choice_two",
             "inf_payoff",
+            "non_ascii",
         ]
     ),
     pick=st.integers(min_value=0, max_value=59),
@@ -398,7 +404,7 @@ def test_malformed_line_is_named(row, kind, pick, blank_before):
     bad_line = row + (3 if blank_before else 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
-        path.write_text("\n".join([header, *body]) + "\n")
+        path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
         with pytest.raises(DataParseError) as info:
             read_dataset_csv(path)
         assert info.value.line == bad_line
