@@ -10,8 +10,6 @@ from .cpt import (
     fit_cpt,
     sample_value_curve,
     sample_weight_curve,
-    value,
-    weight,
 )
 from .errors import (
     ConfigError,
@@ -54,8 +52,6 @@ __all__ = [
     "fit_cpt",
     "sample_value_curve",
     "sample_weight_curve",
-    "value",
-    "weight",
     "ConfigError",
     "DataParseError",
     "EstimationError",

@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .errors import EstimationError, InputError
-from .glm import sigmoid
+from .glm import softplus_sum
 from .scenario import ScenarioArrays
 
 PARAM_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
@@ -88,14 +88,9 @@ class CptParams:
         return (self.alpha, self.beta, self.lam, self.gamma, self.eta)
 
 
-def value(x: float, params: CptParams) -> float:
-    """Piecewise power value: x^alpha on gains, -lam*(-x)^beta on losses."""
-    if x >= 0.0:
-        return float(x**params.alpha)
-    return float(-params.lam * (-x) ** params.beta)
-
-
 def value_array(x, params: CptParams) -> np.ndarray:
+    """Piecewise power value of each payoff: x^alpha on gains, -lam*(-x)^beta
+    on losses."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     pos = x >= 0.0
@@ -104,14 +99,9 @@ def value_array(x, params: CptParams) -> np.ndarray:
     return out
 
 
-def weight(p: float, params: CptParams) -> float:
-    """Prelec weighting exp(-(-ln p)^gamma); fixes p=1 and p=1/e."""
-    if not 0.0 < p <= 1.0:
-        raise InputError(f"probability must lie in (0, 1], got {p}")
-    return float(np.exp(-((-np.log(p)) ** params.gamma)))
-
-
 def weight_array(p, params: CptParams) -> np.ndarray:
+    """Prelec weighting exp(-(-ln p)^gamma) of each probability; fixes p=1
+    and p=1/e."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise InputError("probabilities must lie in (0, 1]")
@@ -119,10 +109,10 @@ def weight_array(p, params: CptParams) -> np.ndarray:
 
 
 def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
-    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S))) for every scenario."""
+    """P(risky) = expit(eta * (w(p) v(R) - v(S))) for every scenario."""
     u_risky = weight_array(arrays.p, params) * value_array(arrays.risky, params)
     u_safe = value_array(arrays.safe, params)
-    return sigmoid(params.eta * (u_risky - u_safe))
+    return expit(params.eta * (u_risky - u_safe))
 
 
 def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
@@ -189,7 +179,7 @@ class _Prepared:
         """Negative per-observation log-likelihood; +inf when evaluation
         breaks down numerically (the minimizer then backs away)."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            total, _ = _softplus_sum(self._latent_parts(theta)[-1])
+            total, _ = softplus_sum(self._latent_parts(theta)[-1])
         if not np.isfinite(total):
             return np.inf
         return total / self.n
@@ -205,7 +195,7 @@ class _Prepared:
         grad = np.zeros(5)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             q, w, v_risky, v_safe, diff, signed = self._latent_parts(theta)
-            total, e = _softplus_sum(signed)
+            total, e = softplus_sum(signed)
             if not np.isfinite(total):
                 return np.inf, np.full(5, np.nan)
             # derivative of each row's term with respect to eta * d:
@@ -233,16 +223,6 @@ class _Prepared:
     def total_ll(self, theta) -> float:
         v = self.neg_mean_ll(theta)
         return float(-v * self.n)
-
-
-def _softplus_sum(signed) -> tuple[float, np.ndarray]:
-    """Sum of log(1 + exp(signed)), and e = exp(-|signed|) for reuse. This is
-    the stable form np.logaddexp(0, signed) evaluates, without its slow
-    per-element scalar loop."""
-    e = np.abs(signed)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    return float(np.sum(np.maximum(signed, 0.0)) + np.sum(np.log1p(e))), e
 
 
 def _dot(a, b) -> float:

@@ -168,10 +168,14 @@ def eta_squared(x, y) -> float:
     if groups.shape[0] < 2:
         raise UndefinedEffectSizeError("y is constant; eta squared is undefined")
 
+    if np.all(x == x[0]):
+        raise UndefinedEffectSizeError("x is constant; eta squared is undefined")
+    # the ratio is unchanged by scaling x; a power-of-two scale is exact and
+    # brings max |x| into [0.5, 1), so no sum of squares underflows to 0 or
+    # overflows to inf
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     grand = x.mean()
     ss_total = float(((x - grand) ** 2).sum())
-    if ss_total == 0.0:
-        raise UndefinedEffectSizeError("x is constant; eta squared is undefined")
     ss_between = 0.0
     for g in groups:
         xg = x[y == g]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import InputError, NumericalError
 
@@ -18,21 +19,21 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
 
-def sigmoid(z):
-    """Logistic function 1/(1+exp(-z)), overflow-safe for any finite z.
+# The logistic link 1/(1+exp(-z)) of every model family; exact and
+# overflow-free for any finite z. Returns a float for scalar input.
+sigmoid = expit
 
-    Uses the sign-split form so exp is only ever taken of a nonpositive
-    argument. Accepts scalars or arrays; returns a float for scalar input.
+
+def softplus_sum(s) -> tuple[float, np.ndarray]:
+    """Sum of log(1 + exp(s)) over the signed latents s, which is the negative
+    Bernoulli-logit log-likelihood when s is (1 - 2y) times the latent score;
+    also returns e = exp(-|s|) for reuse. Evaluated in the overflow-free form
+    max(s, 0) + log1p(exp(-|s|)).
     """
-    z_arr = np.asarray(z, dtype=float)
-    out = np.empty_like(z_arr)
-    pos = z_arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z_arr[pos]))
-    ez = np.exp(z_arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return float(out)
-    return out
+    e = np.abs(s)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return float(np.sum(np.maximum(s, 0.0)) + np.sum(np.log1p(e))), e
 
 
 def _check_shapes(coeffs, X, y):
@@ -55,14 +56,14 @@ def _check_shapes(coeffs, X, y):
 def log_likelihood(coeffs, X, y) -> float:
     """Bernoulli log-likelihood of y under the logistic model.
 
-    Evaluated as -sum(logaddexp(0, (1-2y) z)), which is exact in the well-
-    scaled region and never returns -inf for finite inputs.
+    Evaluated as -softplus_sum((1-2y) z), which is exact in the well-scaled
+    region and never returns -inf for finite inputs.
     """
     return _log_likelihood(*_check_shapes(coeffs, X, y))
 
 
 def _log_likelihood(coeffs, X, y) -> float:
-    return float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ coeffs))))
+    return -softplus_sum((1.0 - 2.0 * y) * (X @ coeffs))[0]
 
 
 def _penalty_mask(k: int) -> np.ndarray:

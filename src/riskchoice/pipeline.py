@@ -41,7 +41,10 @@ from .scenario import (  # noqa: F401  (as_arrays stays importable from here)
     GeneratorConfig,
     ScenarioArrays,
     as_arrays,
+    check_field_types,
     generate_dataset,
+    is_list_of,
+    is_number,
     write_dataset_csv,
     write_metadata,
 )
@@ -68,15 +71,12 @@ class CptSettings:
     gamma_max: float = cpt_mod.DEFAULT_GAMMA_MAX
 
     def __post_init__(self):
-        if not isinstance(self.n_restarts, int) or self.n_restarts < 1:
+        check_field_types(self)
+        if self.n_restarts < 1:
             raise ConfigError(f"cpt n_restarts must be a positive integer, got {self.n_restarts!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"cpt seed must be a nonnegative integer, got {self.seed!r}")
-        if not (
-            isinstance(self.gamma_max, (int, float))
-            and math.isfinite(self.gamma_max)
-            and self.gamma_max > 0
-        ):
+        if not (math.isfinite(self.gamma_max) and self.gamma_max > 0):
             raise ConfigError(f"gamma_max must be positive and finite, got {self.gamma_max!r}")
 
 
@@ -96,13 +96,14 @@ class ExperimentConfig:
     emit_svg: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must lie strictly in (0, 1), got {self.train_frac!r}")
-        if not isinstance(self.split_seed, int) or self.split_seed < 0:
+        if self.split_seed < 0:
             raise ConfigError(f"split_seed must be a nonnegative integer, got {self.split_seed!r}")
         for name in ("tau_v", "tau_eta", "l2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative number, got {v!r}")
 
     def to_json_dict(self) -> dict:
@@ -112,8 +113,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build a config from its JSON mirror, rejecting unknown keys and
-        values whose JSON type differs from the field's default."""
+        """Build a config from its JSON mirror, rejecting unknown keys; the
+        constructors reject values whose JSON type differs from the field's
+        default."""
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         return _from_json(cls, doc, "config")
@@ -130,29 +132,6 @@ def config_fields(cfg=ExperimentConfig(), prefix: tuple[str, ...] = ()):
             yield prefix + (f.name,), value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_list_of(value, check) -> bool:
-    return isinstance(value, list) and all(map(check, value))
-
-
-def _checked(name: str, value, default):
-    """``value`` if its JSON type matches ``default``'s; raises ConfigError."""
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = _is_number(value) and isinstance(value, int), "an integer"
-    elif isinstance(default, tuple):
-        ok, want = _is_list_of(value, _is_number), "a list of numbers"
-    else:
-        ok, want = _is_number(value), "a number"
-    if not ok:
-        raise ConfigError(f"{name} must be {want}, got {value!r}")
-    return tuple(value) if isinstance(default, tuple) else value
-
-
 def _from_json(cls, doc: dict, section: str):
     defaults = cls()
     unknown = set(doc) - {f.name for f in fields(cls)}
@@ -161,12 +140,9 @@ def _from_json(cls, doc: dict, section: str):
     kwargs = {}
     for name, value in doc.items():
         default = getattr(defaults, name)
-        if not is_dataclass(default):
-            kwargs[name] = _checked(name, value, default)
-        elif isinstance(value, dict):
-            kwargs[name] = _from_json(type(default), value, name)
-        else:
-            raise ConfigError(f"{name} must be an object")
+        if is_dataclass(default) and isinstance(value, dict):
+            value = _from_json(type(default), value, name)
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -237,14 +213,14 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
         raise DataParseError("model JSON must hold an object")
     key = doc.get("model")
     if key == "cpt":
-        values = [_doc_value(doc, name, _is_number, "a number") for name in cpt_mod.PARAM_NAMES]
+        values = [_doc_value(doc, name, is_number, "a number") for name in cpt_mod.PARAM_NAMES]
         return cpt_mod.choice_prob_array(arrays, cpt_mod.CptParams(*values))
     if key not in MODEL_KEYS:
         raise DataParseError(f"model JSON has unknown model kind {key!r}")
     features = _doc_value(
-        doc, "features", lambda v: _is_list_of(v, lambda s: isinstance(s, str)), "a list of names"
+        doc, "features", lambda v: is_list_of(v, lambda s: isinstance(s, str)), "a list of names"
     )
-    coeffs = _doc_value(doc, "coeffs", lambda v: _is_list_of(v, _is_number), "a list of numbers")
+    coeffs = _doc_value(doc, "coeffs", lambda v: is_list_of(v, is_number), "a list of numbers")
     if len(features) != len(coeffs):
         raise DataParseError("model JSON features and coeffs lengths differ")
     coeffs = np.asarray(coeffs, dtype=float)

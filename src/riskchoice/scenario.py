@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,45 @@ def _first_invalid_row(id, safe, risky, p, frame, choice) -> tuple[int, str] | N
     return row, next(rule for ok, rule in rules if not ok[row])
 
 
+def is_number(value) -> bool:
+    """True for a JSON number that converts to a float: a float, or an int
+    (not a bool) no larger in magnitude than the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def is_list_of(value, check) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+def check_field_types(cfg) -> None:
+    """Hold every field of the config dataclass ``cfg`` to the JSON type of
+    its default: true or false, an integer, a number, a list (or tuple) of
+    numbers, or for a section an object of the default's class.
+
+    Raises
+    ------
+    ConfigError
+        Naming the first ill-typed field, in declaration order.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if is_dataclass(default):
+            ok, want = isinstance(value, type(default)), "an object"
+        elif isinstance(default, bool):
+            ok, want = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif isinstance(default, tuple):
+            ok, want = is_list_of(value, is_number), "a list of numbers"
+        else:
+            ok, want = is_number(value), "a number"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Settings for the synthetic scenario generator.
@@ -147,9 +187,10 @@ class GeneratorConfig:
     true_coeffs: tuple[float, ...] = DEFAULT_TRUE_COEFFS
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        check_field_types(self)
+        if self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         coeffs = tuple(float(c) for c in self.true_coeffs)
         if len(coeffs) != 5:

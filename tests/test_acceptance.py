@@ -28,9 +28,8 @@ from riskchoice import (
     run_experiment,
     sample_value_curve,
     sample_weight_curve,
-    value,
-    weight,
 )
+from riskchoice.cpt import value_array, weight_array
 from riskchoice.features import SYMBOLIC_NAMES
 from riskchoice.glm import gradient_and_hessian, log_likelihood
 from riskchoice.scenario import ScenarioArrays
@@ -256,15 +255,17 @@ def test_c7_cpt_function_identities():
     ident = CptParams(alpha=1.0, beta=1.0, lam=1.0, gamma=1.0, eta=1.0)
 
     grid = np.linspace(0.01, 0.99, 99)
-    sup_identity = max(abs(weight(float(p), ident) - float(p)) for p in grid)
+    sup_identity = float(np.max(np.abs(weight_array(grid, ident) - grid)))
     e_inv = float(np.exp(-1.0))
+    w_one, w_e_inv = weight_array(np.array([1.0, e_inv]), steep)
+    v_zero, v_one, v_minus_one = value_array(np.array([0.0, 1.0, -1.0]), steep)
     identities = (
-        weight(1.0, steep) == 1.0
-        and abs(weight(e_inv, steep) - e_inv) < 1e-12
+        w_one == 1.0
+        and abs(w_e_inv - e_inv) < 1e-12
         and sup_identity < 1e-12
-        and value(0.0, steep) == 0.0
-        and value(1.0, steep) == 1.0
-        and value(-1.0, steep) == -steep.lam
+        and v_zero == 0.0
+        and v_one == 1.0
+        and v_minus_one == -steep.lam
     )
 
     vc = sample_value_curve(steep)

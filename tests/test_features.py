@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from riskchoice import (
@@ -168,11 +170,68 @@ class TestEtaSquared:
         base = eta_squared(x, y)
         assert eta_squared(3.5 * x - 12.0, y) == pytest.approx(base, rel=1e-10)
 
+    def test_extreme_scales(self):
+        y = np.array([0, 1, 1])
+        for scale in (5e-324, 1e-300, 1.0, 1e300):
+            assert eta_squared(scale * np.array([1.0, -1.0, 1.0]), y) == pytest.approx(
+                0.25, rel=1e-15
+            )
+
     def test_undefined_cases(self):
+        # the mean of these 29 equal values rounds away from the value itself
+        y = np.zeros(29, dtype=int)
+        y[-1] = 1
+        with pytest.raises(UndefinedEffectSizeError):
+            eta_squared(np.full(29, 72316.07003176934), y)
         with pytest.raises(UndefinedEffectSizeError):
             eta_squared(np.full(6, 2.5), np.arange(6) % 2)
         with pytest.raises(UndefinedEffectSizeError):
             eta_squared(np.arange(6, dtype=float), np.ones(6))
+
+
+categorical = st.integers(min_value=0, max_value=4)
+continuous = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def column_and_outcome(draw, values):
+    """An n-row column of ``values`` and an n-row binary outcome."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return x, y
+
+
+EFFECT_SIZES = [(cramers_v, categorical), (eta_squared, continuous)]
+EFFECT_SIZE_IDS = ["cramers_v", "eta_squared"]
+
+
+class TestEffectSizeProperties:
+    @pytest.mark.parametrize("metric, values", EFFECT_SIZES, ids=EFFECT_SIZE_IDS)
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_in_unit_interval(self, metric, values, data):
+        x, y = data.draw(column_and_outcome(values))
+        assume(len(np.unique(x)) > 1 and len(np.unique(y)) > 1)
+        assert 0.0 <= metric(x, y) <= 1.0
+
+    @pytest.mark.parametrize("metric, values", EFFECT_SIZES, ids=EFFECT_SIZE_IDS)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_constant_column_is_undefined(self, metric, values, data):
+        _, y = data.draw(column_and_outcome(values))
+        x = np.full(y.shape[0], data.draw(values))
+        with pytest.raises(UndefinedEffectSizeError):
+            metric(x, y)
+
+    @pytest.mark.parametrize("metric, values", EFFECT_SIZES, ids=EFFECT_SIZE_IDS)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_single_class_outcome_is_undefined(self, metric, values, data):
+        x, y = data.draw(column_and_outcome(values))
+        y[:] = data.draw(st.integers(0, 1))
+        with pytest.raises(UndefinedEffectSizeError):
+            metric(x, y)
 
 
 @pytest.fixture(scope="module")

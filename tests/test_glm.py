@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskchoice import InputError, NumericalError, fit_logistic, log_likelihood, sigmoid
-from riskchoice.glm import gradient_and_hessian
+from riskchoice.glm import gradient_and_hessian, softplus_sum
 
 
 def _random_instance(rng, n=20, k=4):
@@ -34,6 +36,31 @@ class TestSigmoid:
         assert out.shape == (3,)
         assert out[1] == 0.5
         assert isinstance(sigmoid(1.5), float)
+
+
+latents = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False), min_size=1, max_size=40
+)
+
+
+class TestSharedKernel:
+    @settings(max_examples=300)
+    @given(zs=latents)
+    def test_sigmoid_range_monotonicity_and_symmetry(self, zs):
+        z = np.sort(np.array(zs))
+        p = sigmoid(z)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) >= 0.0)
+        np.testing.assert_allclose(p + sigmoid(-z), 1.0, rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=300)
+    @given(zs=latents)
+    def test_softplus_sum_matches_logaddexp(self, zs):
+        s = np.array(zs)
+        total, e = softplus_sum(s)
+        reference = float(np.sum(np.logaddexp(0.0, s)))
+        assert total == reference or total == pytest.approx(reference, rel=1e-12)
+        np.testing.assert_array_equal(e, np.exp(-np.abs(s)))
 
 
 class TestLogLikelihood:

@@ -1,11 +1,46 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskchoice import ConfigError, ExperimentConfig, GeneratorConfig, run_experiment
 from riskchoice.errors import InputError
 from riskchoice.pipeline import CptSettings
+
+FLOAT_MAX = int(sys.float_info.max)
+
+seeds = st.integers(min_value=0)
+numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-FLOAT_MAX, FLOAT_MAX)
+nonnegative = st.floats(0.0, allow_infinity=False) | st.integers(0, FLOAT_MAX)
+
+# any valid config
+configs = st.builds(
+    ExperimentConfig,
+    generator=st.builds(
+        GeneratorConfig,
+        n=seeds.filter(bool),
+        seed=seeds,
+        true_coeffs=st.tuples(*[numbers] * 5),
+    ),
+    train_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    split_seed=seeds,
+    tau_v=nonnegative,
+    tau_eta=nonnegative,
+    l2=nonnegative,
+    select_on_full=st.booleans(),
+    standardize_blackbox=st.booleans(),
+    cpt=st.builds(
+        CptSettings,
+        n_restarts=seeds.filter(bool),
+        seed=seeds,
+        gamma_max=st.floats(0.0, exclude_min=True, allow_infinity=False)
+        | st.integers(1, FLOAT_MAX),
+    ),
+    emit_svg=st.booleans(),
+)
 
 
 def small_config(**overrides):
@@ -48,6 +83,13 @@ class TestConfig:
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="gamma_max"):
                 CptSettings(gamma_max=bad)
+        # ill-typed values, as a Python caller might pass them
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            GeneratorConfig(n=True)
+        with pytest.raises(ConfigError, match="gamma_max must be a number"):
+            CptSettings(gamma_max=True)
+        with pytest.raises(ConfigError, match="select_on_full must be true or false"):
+            ExperimentConfig(select_on_full="yes", emit_svg=0)
 
     def test_json_round_trip(self):
         cfg = small_config(train_frac=0.75, l2=0.5, select_on_full=True)
@@ -75,6 +117,8 @@ class TestConfig:
             ({"l2": "0.5"}, "l2 must be a number"),
             ({"generator": [1]}, "generator must be an object"),
             ({"cpt": None}, "cpt must be an object"),
+            ({"tau_v": 10**400}, "tau_v must be a number"),
+            ({"generator": {"true_coeffs": [10**400, 0, 0, 0, 0]}}, "list of numbers"),
         ],
     )
     def test_ill_typed_values_rejected(self, doc, message):
@@ -96,6 +140,12 @@ class TestConfig:
         assert cfg.generator.n == 123
         assert cfg.generator.seed == 42
         assert cfg.cpt.n_restarts == 20
+
+    @settings(max_examples=200)
+    @given(cfg=configs)
+    def test_json_round_trip_property(self, cfg):
+        again = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        assert again == cfg
 
 
 class TestRun:

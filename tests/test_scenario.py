@@ -327,7 +327,7 @@ scenario_rows = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(rows=st.lists(scenario_rows, min_size=1, max_size=40))
 def test_csv_round_trip_property(rows):
     cols = list(zip(*rows))
@@ -374,7 +374,7 @@ def corrupt(fields, kind, pick):
     return fields
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(
     row=st.integers(min_value=0, max_value=24),
     kind=st.sampled_from(
