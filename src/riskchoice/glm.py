@@ -36,21 +36,26 @@ def softplus_sum(s) -> tuple[float, np.ndarray]:
     return float(np.sum(np.maximum(s, 0.0)) + np.sum(np.log1p(e))), e
 
 
-def _check_shapes(coeffs, X, y):
-    coeffs = np.asarray(coeffs, dtype=float)
+def _check_inputs(X, y, l2_strength=0.0, coeffs=None):
+    """Check X (2-d), y (0/1, one per row), l2_strength (finite, >= 0) and,
+    when given, coeffs (one per column); return them as float arrays."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise InputError("X must be a 2-d design matrix")
-    if coeffs.shape != (X.shape[1],):
-        raise InputError(
-            f"coefficient length {coeffs.shape} does not match {X.shape[1]} columns"
-        )
+    if coeffs is not None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (X.shape[1],):
+            raise InputError(
+                f"coefficient length {coeffs.shape} does not match {X.shape[1]} columns"
+            )
     if y.shape != (X.shape[0],):
         raise InputError("y length does not match the number of rows of X")
     if not np.all((y == 0) | (y == 1)):
         raise InputError("y must contain only 0 and 1")
-    return coeffs, X, y
+    if not 0.0 <= l2_strength < np.inf:
+        raise InputError(f"l2_strength must be finite and nonnegative, got {l2_strength!r}")
+    return X, y, coeffs
 
 
 def log_likelihood(coeffs, X, y) -> float:
@@ -59,7 +64,8 @@ def log_likelihood(coeffs, X, y) -> float:
     Evaluated as -softplus_sum((1-2y) z), which is exact in the well-scaled
     region and never returns -inf for finite inputs.
     """
-    return _log_likelihood(*_check_shapes(coeffs, X, y))
+    X, y, coeffs = _check_inputs(X, y, coeffs=coeffs)
+    return _log_likelihood(coeffs, X, y)
 
 
 def _log_likelihood(coeffs, X, y) -> float:
@@ -79,11 +85,12 @@ def gradient_and_hessian(coeffs, X, y, l2_strength: float = 0.0):
     Gradient: X^T (y - sigma(X b)) - l2 * b~ ; Hessian: -X^T W X - l2 * I~,
     where b~ and I~ zero out the intercept entry.
     """
-    coeffs, X, y = _check_shapes(coeffs, X, y)
-    if l2_strength < 0:
-        raise InputError("l2_strength must be nonnegative")
+    X, y, coeffs = _check_inputs(X, y, l2_strength, coeffs)
+    return _gradient_and_hessian(coeffs, X, y, l2_strength, _penalty_mask(X.shape[1]))
+
+
+def _gradient_and_hessian(coeffs, X, y, l2_strength, mask):
     mu = sigmoid(X @ coeffs)
-    mask = _penalty_mask(X.shape[1])
     grad = X.T @ (y - mu) - l2_strength * mask * coeffs
     w = mu * (1.0 - mu)
     hess = -(X.T * w) @ X - l2_strength * np.diag(mask)
@@ -147,15 +154,16 @@ def fit_logistic(
     *,
     feature_names=None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = False,
 ) -> FittedLogistic:
     """Fit a logistic regression by Newton/IRLS.
 
     Maximizes the log-likelihood minus (l2_strength/2) times the squared norm
     of the non-intercept coefficients. Convergence means the gradient
-    max-norm fell below ``tol`` within ``max_iter`` Newton steps; each step
-    is halved until the penalized objective does not decrease.
+    max-norm fell below ``tol`` within the fixed cap of 100 Newton steps
+    (``DEFAULT_MAX_ITER``); each step is halved until the penalized
+    objective does not decrease, and a step that no halving makes
+    non-decreasing ends the fit, counted as a step.
 
     With ``standardize=True`` the non-intercept columns are centered and
     scaled before fitting and the estimates (and covariance) are mapped back
@@ -169,21 +177,12 @@ def fit_logistic(
         separation is not an error: it returns a non-converged fit with a
         "possible separation" diagnostic.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise InputError("X must be a 2-d design matrix")
+    X, y, _ = _check_inputs(X, y, l2_strength)
     n, k = X.shape
-    if y.shape != (n,):
-        raise InputError("y length does not match the number of rows of X")
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("y must contain only 0 and 1")
     if not np.all(np.isfinite(X)):
         raise InputError("X must be finite")
     if n < k:
         raise InputError(f"need at least {k} rows to fit {k} coefficients, got {n}")
-    if l2_strength < 0:
-        raise InputError("l2_strength must be nonnegative")
     if feature_names is not None:
         feature_names = tuple(feature_names)
         if len(feature_names) != k:
@@ -204,14 +203,15 @@ def fit_logistic(
     mask = _penalty_mask(k)
     beta = np.zeros(k)
     obj = _penalized_ll(beta, X_fit, y, l2_strength, mask)
-    converged = False
     iterations = 0
     diagnostics: list[str] = []
 
-    for _ in range(max_iter):
-        grad, hess = gradient_and_hessian(beta, X_fit, y, l2_strength)
-        if np.max(np.abs(grad)) < tol:
-            converged = True
+    # one gradient/Hessian pass per iterate: every exit leaves grad and hess
+    # evaluated at the final beta
+    grad, hess = _gradient_and_hessian(beta, X_fit, y, l2_strength, mask)
+    while True:
+        converged = bool(np.max(np.abs(grad)) < tol)
+        if converged or iterations == DEFAULT_MAX_ITER:
             break
         info = -hess
         try:
@@ -228,24 +228,20 @@ def fit_logistic(
                 f"non-finite Newton step (condition number {cond:.3g})"
             )
 
-        # halve the step until the penalized objective stops decreasing
+        # halve the step until the penalized objective stops decreasing; a
+        # step that no halving improves still counts, and ends the fit
+        iterations += 1
         t = 1.0
-        improved = False
         for _ in range(40):
             candidate = beta + t * step
             new_obj = _penalized_ll(candidate, X_fit, y, l2_strength, mask)
             if new_obj >= obj:
-                beta, obj = candidate, new_obj
-                improved = True
                 break
             t *= 0.5
-        iterations += 1
-        if not improved:
+        else:
             break
-
-    if not converged:
-        grad, _ = gradient_and_hessian(beta, X_fit, y, l2_strength)
-        converged = bool(np.max(np.abs(grad)) < tol)
+        beta, obj = candidate, new_obj
+        grad, hess = _gradient_and_hessian(beta, X_fit, y, l2_strength, mask)
 
     # all margins strictly positive with no penalty means every observation
     # sits on the correct side: the likelihood improves without bound along
@@ -261,10 +257,8 @@ def fit_logistic(
     elif not converged and np.max(np.abs(beta)) > 1e3:
         diagnostics.append("coefficients diverging; model may be ill-posed")
 
-    _, hess = gradient_and_hessian(beta, X_fit, y, l2_strength)
-    info = -hess
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(-hess)
         cov = (cov + cov.T) / 2.0
     except np.linalg.LinAlgError:
         cov = None
@@ -281,7 +275,7 @@ def fit_logistic(
             cov = transform @ cov @ transform.T
             cov = (cov + cov.T) / 2.0
 
-    ll = log_likelihood(beta, X, y)
+    ll = _log_likelihood(beta, X, y)
     return FittedLogistic(
         feature_names=feature_names,
         coeffs=beta,

@@ -188,8 +188,9 @@ class GeneratorConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+        # ids 0..n-1 are stored as int64
+        if not 1 <= self.n <= np.iinfo(_COLUMN_DTYPES["id"]).max:
+            raise ConfigError(f"n must be an integer from 1 to 2**63 - 1, got {self.n!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         coeffs = tuple(float(c) for c in self.true_coeffs)

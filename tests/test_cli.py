@@ -1,12 +1,15 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+import riskchoice
 from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
 from riskchoice.cli import _config, build_parser, main
 from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
@@ -40,6 +43,14 @@ class TestGenerate:
 
     def test_zero_n_is_usage_error(self, tmp_path):
         assert run_cli("generate", "--n", "0", "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("n", [2**63, 2**70])
+    def test_n_beyond_the_int64_ids_is_config_error(self, tmp_path, capsys, n):
+        out = tmp_path / "out"
+        assert run_cli("generate", "--n", str(n), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: n must be an integer from 1 to 2**63 - 1, got {n}\n"
+        assert not out.exists()
 
     def test_custom_coefficients(self, tmp_path):
         code = run_cli(
@@ -345,10 +356,17 @@ class TestUsage:
 
 
 def test_module_entry_point(tmp_path):
-    # the package runs as a subprocess through the module entry
+    # the package runs as a subprocess through the module entry, importing
+    # the copy of the package that this test imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(riskchoice.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     result = subprocess.run(
         [sys.executable, "-m", "riskchoice.cli", "generate", "--n", "5", "--seed", "1",
          "--out", str(tmp_path)],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from riskchoice import InputError, NumericalError, fit_logistic, log_likelihood, sigmoid
-from riskchoice.glm import gradient_and_hessian, softplus_sum
+from riskchoice.glm import DEFAULT_MAX_ITER, DEFAULT_TOL, gradient_and_hessian, softplus_sum
 
 
 def _random_instance(rng, n=20, k=4):
@@ -131,6 +131,12 @@ class TestGradientAndHessian:
             np.testing.assert_allclose(hess, hess.T, atol=1e-12)
             assert np.max(np.linalg.eigvalsh(hess)) <= 1e-10
 
+    @pytest.mark.parametrize("l2", [float("nan"), float("inf"), -1.0])
+    def test_bad_l2_rejected(self, l2):
+        X, y = _random_instance(np.random.Generator(np.random.PCG64(18)))
+        with pytest.raises(InputError, match="l2_strength must be finite and nonnegative"):
+            gradient_and_hessian(np.zeros(4), X, y, l2)
+
     def test_gradient_vanishes_at_optimum(self):
         rng = np.random.Generator(np.random.PCG64(5))
         X, y = _random_instance(rng, n=200)
@@ -220,8 +226,9 @@ class TestFitLogistic:
         assert fit_logistic(X, y).log_likelihood <= 0.0
         with pytest.raises(InputError):
             fit_logistic(X[:3], y[:3])
-        with pytest.raises(InputError):
-            fit_logistic(X, y, l2_strength=-1.0)
+        for l2 in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="l2_strength must be finite and nonnegative"):
+                fit_logistic(X, y, l2_strength=l2)
         with pytest.raises(InputError):
             fit_logistic(X, y, feature_names=("a", "b"))
 
@@ -251,6 +258,81 @@ class TestFitLogistic:
         assert doc["features"] == ["intercept", "a", "b", "c"]
         assert doc["l2"] == 0.25
         assert len(doc["covariance"]) == 4
+
+
+# x = (-3, -2, -1, 1, 2, 3) with y = x > 0 is perfectly separated: the
+# gradient saturates towards 0 while the slope grows without bound
+SEPARABLE_X = np.column_stack([np.ones(6), [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]])
+SEPARABLE_Y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+WELL_POSED = _random_instance(np.random.Generator(np.random.PCG64(21)), n=30)
+
+
+@st.composite
+def small_fits(draw):
+    """A small random design with an intercept column, 0/1 responses holding
+    both classes, an L2 strength (0 or positive) and a stop tolerance (the
+    default, or 0.0, which only an exactly zero gradient meets)."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 2, 30))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    y = rng.integers(0, 2, n).astype(float)
+    y[:2] = (0.0, 1.0)
+    l2 = draw(st.just(0.0) | st.floats(0.01, 10.0))
+    tol = draw(st.sampled_from([DEFAULT_TOL, 0.0]))
+    return X, y, l2, tol
+
+
+class TestExitPaths:
+    """Every exit of the Newton loop (stop test met, the step cap, or a line
+    search that cannot improve) returns a fit whose reported figures are
+    those of its final coefficients."""
+
+    @settings(max_examples=200)
+    @given(case=small_fits())
+    # the stop test met; the cap, with an unreachable tolerance, with and
+    # without a penalty; a failed line search
+    @example(case=(*WELL_POSED, 0.0, DEFAULT_TOL))
+    @example(case=(*WELL_POSED, 0.0, 0.0))
+    @example(case=(*WELL_POSED, 0.5, 0.0))
+    @example(case=(SEPARABLE_X, SEPARABLE_Y, 0.0, 0.0))
+    def test_reported_figures_hold_at_the_coefficients(self, case):
+        X, y, l2, tol = case
+        try:
+            fit = fit_logistic(X, y, l2, tol=tol)
+        except NumericalError:
+            # with neither a penalty nor a tolerance, a separated design can
+            # saturate enough weights to leave the normal equations singular:
+            # a raise, not an exit of the loop
+            if l2 or tol:
+                raise
+            reject()
+        grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
+        if fit.covariance is not None:
+            inv = np.linalg.inv(-hess)
+            np.testing.assert_array_equal(fit.covariance, (inv + inv.T) / 2.0)
+        assert fit.log_likelihood == log_likelihood(fit.coeffs, X, y)
+        assert fit.iterations <= DEFAULT_MAX_ITER
+        if not any("separation" in d for d in fit.diagnostics):
+            assert fit.converged == (np.max(np.abs(grad)) < tol)
+
+    def test_each_exit_is_reached(self):
+        X, y = WELL_POSED
+        assert fit_logistic(X, y).converged
+        capped = fit_logistic(X, y, tol=0.0)
+        assert capped.iterations == DEFAULT_MAX_ITER and not capped.converged
+        # default tolerance: the saturated gradient meets the stop test after
+        # 21 steps, and separation overrides the verdict
+        separated = fit_logistic(SEPARABLE_X, SEPARABLE_Y)
+        grad, _ = gradient_and_hessian(separated.coeffs, SEPARABLE_X, SEPARABLE_Y)
+        assert separated.iterations == 21 and np.max(np.abs(grad)) < DEFAULT_TOL
+        assert not separated.converged
+        # no tolerance: the gradient never reaches 0, the cap is not hit, so
+        # the line search failed; that 48th step still counts
+        stalled = fit_logistic(SEPARABLE_X, SEPARABLE_Y, tol=0.0)
+        grad, _ = gradient_and_hessian(stalled.coeffs, SEPARABLE_X, SEPARABLE_Y)
+        assert np.max(np.abs(grad)) > 0.0
+        assert stalled.iterations == 48 and not stalled.converged
 
 
 class TestPredictProb:

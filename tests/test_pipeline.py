@@ -21,7 +21,7 @@ configs = st.builds(
     ExperimentConfig,
     generator=st.builds(
         GeneratorConfig,
-        n=seeds.filter(bool),
+        n=st.integers(1, 2**63 - 1),
         seed=seeds,
         true_coeffs=st.tuples(*[numbers] * 5),
     ),
@@ -83,6 +83,10 @@ class TestConfig:
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="gamma_max"):
                 CptSettings(gamma_max=bad)
+        # ids 0..n-1 must fit the int64 id column
+        for n in (2**63, 2**70):
+            with pytest.raises(ConfigError, match=r"n must be an integer from 1 to 2\*\*63 - 1"):
+                GeneratorConfig(n=n)
         # ill-typed values, as a Python caller might pass them
         with pytest.raises(ConfigError, match="n must be an integer"):
             GeneratorConfig(n=True)
