@@ -24,7 +24,7 @@ moves them from their start values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -48,9 +48,6 @@ _LBFGS_OPTIONS = {"gtol": 1e-9, "ftol": 1e-15}
 # relative step for the central differences of the gradient that give the
 # observed information
 _FD_REL_STEP = 1e-4
-
-_DEFAULT_X_GRID = (-100.0, 150.0, 251)
-_DEFAULT_P_GRID = (0.01, 0.99, 99)
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,8 @@ def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
 
 def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
     """Bernoulli log-likelihood of the observed choices under the model."""
-    return _Prepared(arrays).total_ll(params.as_tuple())
+    prep = _Prepared(arrays)
+    return float(-prep.neg_mean_ll(params.as_tuple()) * prep.n)
 
 
 class _Prepared:
@@ -220,10 +218,6 @@ class _Prepared:
             grad[4] = _dot(dz, diff)
         return total / self.n, grad / self.n
 
-    def total_ll(self, theta) -> float:
-        v = self.neg_mean_ll(theta)
-        return float(-v * self.n)
-
 
 def _dot(a, b) -> float:
     # einsum's own loop, not BLAS ddot: waking a threaded BLAS for each
@@ -254,42 +248,33 @@ def _add_branch_grad(grad, sign: int, dv, log_abs, lam) -> None:
         grad[2] += dv.sum() / lam
 
 
+def _upper_bounds(gamma_max: float) -> tuple[float | None, ...]:
+    """The fit's box, one entry per coordinate in PARAM_NAMES order.
+
+    A coordinate with an upper bound (alpha, beta, gamma) is bound * expit(t)
+    of its unconstrained coordinate t; one without (None: lambda, eta) is
+    exp(t).
+    """
+    return (1.0, 1.0, None, gamma_max, None)
+
+
 def _to_unconstrained(theta, gamma_max: float) -> np.ndarray:
-    alpha, beta, lam, gamma, eta = theta
-    return np.array(
-        [
-            logit(alpha),
-            logit(beta),
-            np.log(lam),
-            logit(gamma / gamma_max),
-            np.log(eta),
-        ]
-    )
+    bounds = _upper_bounds(gamma_max)
+    return np.array([np.log(v) if hi is None else logit(v / hi) for v, hi in zip(theta, bounds)])
 
 
-def _from_unconstrained(t, gamma_max: float) -> np.ndarray:
-    return np.array(
-        [
-            expit(t[0]),
-            expit(t[1]),
-            np.exp(t[2]),
-            gamma_max * expit(t[3]),
-            np.exp(t[4]),
-        ]
-    )
-
-
-def _from_unconstrained_jacobian(t, gamma_max: float) -> np.ndarray:
-    """Diagonal of the Jacobian of _from_unconstrained at t."""
-    return np.array(
-        [
-            expit(t[0]) * expit(-t[0]),
-            expit(t[1]) * expit(-t[1]),
-            np.exp(t[2]),
-            gamma_max * expit(t[3]) * expit(-t[3]),
-            np.exp(t[4]),
-        ]
-    )
+def _from_unconstrained(t, gamma_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta at unconstrained coordinates t, and the diagonal of its
+    Jacobian d theta / d t."""
+    theta = np.empty(len(t))
+    jac = np.empty(len(t))
+    for i, (ti, hi) in enumerate(zip(t, _upper_bounds(gamma_max))):
+        if hi is None:
+            theta[i] = jac[i] = np.exp(ti)
+        else:
+            theta[i] = hi * expit(ti)
+            jac[i] = theta[i] * expit(-ti)
+    return theta, jac
 
 
 @dataclass(frozen=True)
@@ -308,14 +293,9 @@ class RestartRecord:
     n_evals: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "start": dict(zip(PARAM_NAMES, self.start)),
-            "log_likelihood": self.log_likelihood,
-            "converged": self.converged,
-            "n_evals": self.n_evals,
-        }
+        d = asdict(self)
+        d["start"] = dict(zip(PARAM_NAMES, self.start))
+        return d
 
 
 @dataclass
@@ -408,9 +388,12 @@ def fit_cpt(
 
     Each restart draws a start point uniformly over a box of canonical
     parameter values, maps it to unconstrained coordinates, and runs
-    L-BFGS-B there on the analytic gradient. The best final log-likelihood
-    wins; exact ties go to the lowest restart index, so the result is a pure
-    function of (data, n_restarts, seed, gamma_max).
+    L-BFGS-B there on the analytic gradient. The fit's box is alpha, beta in
+    (0, 1], gamma in (0, gamma_max] and lambda, eta > 0. The restart with the
+    highest final log-likelihood wins, and exact ties go to the lowest
+    restart index, so the result is a pure function of (data, n_restarts,
+    seed, gamma_max). The winner's record supplies ``log_likelihood`` and
+    ``converged``, and its end point ``unconstrained_optimum``.
 
     Raises
     ------
@@ -429,73 +412,56 @@ def fit_cpt(
         # a line-search trial step far out in t can overflow exp; the value
         # is then +inf and L-BFGS-B shortens the step
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = prep.value_and_grad(_from_unconstrained(t, gamma_max))
-            return value, grad * _from_unconstrained_jacobian(t, gamma_max)
+            theta, jac = _from_unconstrained(t, gamma_max)
+            value, grad = prep.value_and_grad(theta)
+            return value, grad * jac
 
     restart_seeds = np.random.SeedSequence(seed).generate_state(n_restarts)
     gamma_hi = min(2.0, gamma_max)
     gamma_lo = min(0.2, gamma_hi / 2.0)
+    start_lo = (0.2, 0.2, 0.5, gamma_lo, 0.01)
+    start_hi = (1.0, 1.0, 3.0, gamma_hi, 1.0)
 
     records: list[RestartRecord] = []
-    results = []
-    for idx in range(n_restarts):
-        rng = np.random.Generator(np.random.PCG64(int(restart_seeds[idx])))
-        start = np.array(
-            [
-                rng.uniform(0.2, 1.0),
-                rng.uniform(0.2, 1.0),
-                rng.uniform(0.5, 3.0),
-                rng.uniform(gamma_lo, gamma_hi),
-                rng.uniform(0.01, 1.0),
-            ]
-        )
-        res = minimize(
-            objective,
-            _to_unconstrained(start, gamma_max),
-            method="L-BFGS-B",
-            jac=True,
-            options=_LBFGS_OPTIONS,
-        )
-        results.append(res)
+    optima: list[np.ndarray] = []  # end points in unconstrained coordinates
+    for idx, restart_seed in enumerate(restart_seeds.tolist()):
+        start = np.random.Generator(np.random.PCG64(restart_seed)).uniform(start_lo, start_hi)
+        t0 = _to_unconstrained(start, gamma_max)
+        res = minimize(objective, t0, method="L-BFGS-B", jac=True, options=_LBFGS_OPTIONS)
         records.append(
             RestartRecord(
                 index=idx,
-                seed=int(restart_seeds[idx]),
-                start=tuple(float(v) for v in start),
+                seed=restart_seed,
+                start=tuple(start.tolist()),
                 log_likelihood=float(-res.fun * prep.n),
                 converged=bool(res.success),
                 n_evals=int(res.nfev),
             )
         )
+        optima.append(np.asarray(res.x, dtype=float))
 
     if not any(r.converged for r in records):
         raise EstimationError(
             f"none of the {n_restarts} restarts converged", restart_log=records
         )
 
-    best_idx = 0
-    for idx in range(1, n_restarts):
-        if records[idx].log_likelihood > records[best_idx].log_likelihood:
-            best_idx = idx
-    best = results[best_idx]
+    # max keeps the first of equal keys, so an exact tie goes to the lowest index
+    best = max(records, key=lambda r: r.log_likelihood)
+    optimum = optima[best.index]
 
     with np.errstate(over="ignore"):
-        theta = _from_unconstrained(best.x, gamma_max)
+        theta, _ = _from_unconstrained(optimum, gamma_max)
     if not np.all(np.isfinite(theta)):
         raise EstimationError(
-            f"best restart {best_idx} ended at non-finite parameters "
+            f"best restart {best.index} ended at non-finite parameters "
             f"{dict(zip(PARAM_NAMES, theta.tolist()))}",
             restart_log=records,
         )
     # the transforms keep iterates inside the open box, but a coordinate
     # driven far into a flat direction can underflow to exactly 0
-    theta = np.maximum(theta, 1e-300)
+    theta = np.maximum(theta, 1e-300).tolist()
     params = CptParams(
-        alpha=min(float(theta[0]), 1.0),
-        beta=min(float(theta[1]), 1.0),
-        lam=float(theta[2]),
-        gamma=min(float(theta[3]), gamma_max),
-        eta=float(theta[4]),
+        *(v if hi is None else min(v, hi) for v, hi in zip(theta, _upper_bounds(gamma_max)))
     )
 
     info = _observed_information(prep, np.asarray(params.as_tuple()))
@@ -504,33 +470,25 @@ def fit_cpt(
     return CptFit(
         params=params,
         std_errors=std_errors,
-        log_likelihood=float(-best.fun * prep.n),
+        log_likelihood=best.log_likelihood,
         restart_log=tuple(records),
-        converged=bool(records[best_idx].converged),
+        converged=best.converged,
         information_singular=singular,
         n_obs=prep.n,
         gamma_max=float(gamma_max),
-        unconstrained_optimum=np.asarray(best.x, dtype=float),
+        unconstrained_optimum=optimum,
     )
 
 
-def sample_value_curve(params: CptParams, x_grid=None) -> np.ndarray:
-    """Tabulate (x, v(x)) for plotting; default grid spans losses and gains."""
-    if x_grid is None:
-        lo, hi, m = _DEFAULT_X_GRID
-        x_grid = np.linspace(lo, hi, m)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if not np.all(np.isfinite(x_grid)):
-        raise InputError("x_grid must be finite")
-    return np.column_stack([x_grid, value_array(x_grid, params)])
+def sample_value_curve(params: CptParams) -> np.ndarray:
+    """Tabulate (x, v(x)) for plotting at 251 evenly spaced payoffs from -100
+    to 150, spanning losses and gains."""
+    x = np.linspace(-100.0, 150.0, 251)
+    return np.column_stack([x, value_array(x, params)])
 
 
-def sample_weight_curve(params: CptParams, p_grid=None) -> np.ndarray:
-    """Tabulate (p, w(p)) for plotting."""
-    if p_grid is None:
-        lo, hi, m = _DEFAULT_P_GRID
-        p_grid = np.linspace(lo, hi, m)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if not np.all(np.isfinite(p_grid)):
-        raise InputError("p_grid must be finite")
-    return np.column_stack([p_grid, weight_array(p_grid, params)])
+def sample_weight_curve(params: CptParams) -> np.ndarray:
+    """Tabulate (p, w(p)) for plotting at 99 evenly spaced probabilities from
+    0.01 to 0.99."""
+    p = np.linspace(0.01, 0.99, 99)
+    return np.column_stack([p, weight_array(p, params)])

@@ -68,30 +68,16 @@ _COLUMN_BUILDERS: dict[str, Callable[[ScenarioArrays], np.ndarray]] = {
 }
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A feature candidate submitted to effect-size screening.
-
-    ``kind`` decides the metric: "categorical" columns are screened with
-    Cramér's V, "continuous" ones with eta squared.
-    """
-
-    name: str
-    kind: str
-    column: Callable[[ScenarioArrays], np.ndarray]
-
-    def __post_init__(self):
-        if self.kind not in ("categorical", "continuous"):
-            raise InputError(f"unknown candidate kind {self.kind!r}")
-
-
-DEFAULT_CANDIDATES: tuple[Candidate, ...] = (
-    Candidate("frame", "categorical", _col_frame),
-    Candidate("low_prob", "categorical", _col_low_prob),
-    Candidate("magnitude", "continuous", _col_magnitude),
-    Candidate("dominance", "categorical", _col_dominance),
-    Candidate("certainty", "categorical", _col_certainty),
-)
+# The candidates that screening scores, in report order, with their kind:
+# "categorical" columns are screened with Cramér's V, "continuous" ones with
+# eta squared. Each column comes from _COLUMN_BUILDERS.
+CANDIDATE_KINDS = {
+    "frame": "categorical",
+    "low_prob": "categorical",
+    "magnitude": "continuous",
+    "dominance": "categorical",
+    "certainty": "categorical",
+}
 
 
 def design_matrix(arrays: ScenarioArrays, names) -> np.ndarray:
@@ -222,9 +208,9 @@ def select_features(
     arrays: ScenarioArrays,
     tau_v: float = DEFAULT_TAU_V,
     tau_eta: float = DEFAULT_TAU_ETA,
-    candidates: tuple[Candidate, ...] = DEFAULT_CANDIDATES,
 ) -> EffectSizeReport:
-    """Screen candidate features against the observed choices.
+    """Screen the candidate features of CANDIDATE_KINDS against the observed
+    choices.
 
     Categorical candidates are scored with Cramér's V against threshold
     ``tau_v``; continuous ones with eta squared against ``tau_eta``. A
@@ -236,19 +222,17 @@ def select_features(
     y = arrays.choice
 
     entries = []
-    for cand in candidates:
-        col = np.asarray(cand.column(arrays))
-        if cand.kind == "categorical":
+    for name, kind in CANDIDATE_KINDS.items():
+        col = _COLUMN_BUILDERS[name](arrays)
+        if kind == "categorical":
             metric, threshold, score = "cramers_v", tau_v, cramers_v
         else:
             metric, threshold, score = "eta_squared", tau_eta, eta_squared
         try:
             value = score(col, y)
         except UndefinedEffectSizeError as exc:
-            log.warning("dropping feature %r: %s", cand.name, exc)
-            entries.append(EffectSizeEntry(cand.name, metric, None, threshold, False))
+            log.warning("dropping feature %r: %s", name, exc)
+            entries.append(EffectSizeEntry(name, metric, None, threshold, False))
             continue
-        entries.append(
-            EffectSizeEntry(cand.name, metric, value, threshold, value >= threshold)
-        )
+        entries.append(EffectSizeEntry(name, metric, value, threshold, value >= threshold))
     return EffectSizeReport(tuple(entries))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cpt as cpt_mod
 from .charts import svg_line_chart
-from .errors import ConfigError, DataParseError, UndefinedMetricError
+from .errors import ConfigError, DataParseError, NumericalError, UndefinedMetricError
 from .evaluation import (
     INTERPRETABILITY,
     MODEL_LABELS,
@@ -208,15 +208,29 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
     ------
     DataParseError
         If the document is not a well-formed model of one of MODEL_KEYS.
+    NumericalError
+        If a probability is not finite: the model's latent utility
+        overflows on ``arrays`` to inf - inf.
     """
     if not isinstance(doc, dict):
         raise DataParseError("model JSON must hold an object")
     key = doc.get("model")
+    if key not in MODEL_KEYS:
+        raise DataParseError(f"model JSON has unknown model kind {key!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _doc_probs(key, doc, arrays)
+    bad = int(np.count_nonzero(~np.isfinite(probs)))
+    if bad:
+        raise NumericalError(
+            f"{key} model gives non-finite probabilities on {bad} of {len(probs)} scenarios"
+        )
+    return probs
+
+
+def _doc_probs(key: str, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
     if key == "cpt":
         values = [_doc_value(doc, name, is_number, "a number") for name in cpt_mod.PARAM_NAMES]
         return cpt_mod.choice_prob_array(arrays, cpt_mod.CptParams(*values))
-    if key not in MODEL_KEYS:
-        raise DataParseError(f"model JSON has unknown model kind {key!r}")
     features = _doc_value(
         doc, "features", lambda v: is_list_of(v, lambda s: isinstance(s, str)), "a list of names"
     )
@@ -350,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
         emit("table1.csv", _table1_text(metrics.values()))
 
         stage = "reflection"
-        magnitude_median = float(np.median((train.risky - train.safe) / 100.0))
+        magnitude_median = float(np.median(design_matrix(train, ("magnitude",))))
         reflection = _reflection_rows(fits["symbolic"], magnitude_median)
         emit("reflection.csv", _reflection_text(reflection))
 

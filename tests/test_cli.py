@@ -15,11 +15,23 @@ from riskchoice.cli import _config, build_parser, main
 from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
 from riskchoice.pipeline import CptSettings, ExperimentConfig
-from riskchoice.scenario import write_dataset_csv
+from riskchoice.scenario import ScenarioArrays, write_dataset_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _mixed_sign_data(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return ScenarioArrays(
+        id=np.arange(n),
+        safe=rng.uniform(-50.0, 100.0, n),
+        risky=rng.uniform(-100.0, 150.0, n),
+        p=rng.uniform(0.1, 0.9, n),
+        frame=rng.integers(0, 2, n) * 2 - 1,
+        choice=rng.integers(0, 2, n),
+    )
 
 
 @pytest.fixture()
@@ -221,6 +233,30 @@ class TestEvaluate:
         out = tmp_path / "out"
         assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(out)) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # -1e308 * safe + 1e308 * risky is inf - inf
+            {"model": "blackbox", "features": list(RAW_NAMES), "coeffs": [0, -1e308, 1e308, 0, 0]},
+            # w(p) v(R) - v(S) is inf - inf where both payoffs are losses
+            {"model": "cpt", "alpha": 0.5, "beta": 1.0, "lambda": 1e308, "gamma": 1.0, "eta": 1.0},
+        ],
+        ids=["blackbox", "cpt"],
+    )
+    def test_overflowing_model_is_numerical_error(self, tmp_path, capsys, doc):
+        if doc["model"] == "cpt":
+            data_path = tmp_path / "mixed.csv"
+            write_dataset_csv(_mixed_sign_data(200, seed=1), data_path)
+        else:
+            assert run_cli("generate", "--n", "200", "--seed", "1", "--out", str(tmp_path)) == 0
+            data_path = tmp_path / "dataset.csv"
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", str(model_path), str(data_path), "--out", str(out)) == 3
+        assert "non-finite probabilities" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
 

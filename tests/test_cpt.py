@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from riskchoice import (
     CptParams,
     InputError,
     choice_prob_array,
+    cpt,
     cpt_log_likelihood,
     fit_cpt,
     sample_value_curve,
     sample_weight_curve,
 )
-from riskchoice.cpt import PARAM_NAMES, _Prepared, value_array, weight_array
+from riskchoice.cpt import (
+    PARAM_NAMES,
+    _from_unconstrained,
+    _Prepared,
+    _to_unconstrained,
+    _upper_bounds,
+    value_array,
+    weight_array,
+)
 from riskchoice.scenario import ScenarioArrays
 
 IDENTITY = CptParams(alpha=1.0, beta=1.0, lam=1.0, gamma=1.0, eta=1.0)
@@ -259,6 +269,41 @@ class TestGradient:
         assert len(set(pairs)) == len(pairs) == 9
 
 
+class TestBoxTable:
+    @settings(max_examples=200)
+    @given(
+        u=st.tuples(*[st.floats(1e-6, 1.0 - 1e-6)] * 3),
+        positive=st.tuples(*[st.floats(1e-3, 1e3)] * 2),
+        gamma_max=st.floats(0.5, 10.0),
+    )
+    def test_round_trip(self, u, positive, gamma_max):
+        theta = np.array([u[0], u[1], positive[0], u[2] * gamma_max, positive[1]])
+        back, _ = _from_unconstrained(_to_unconstrained(theta, gamma_max), gamma_max)
+        np.testing.assert_allclose(back, theta, rtol=1e-12)
+
+    @settings(max_examples=200)
+    @given(t=st.tuples(*[st.floats(-8.0, 8.0)] * 5), gamma_max=st.floats(0.5, 10.0))
+    def test_jacobian_matches_central_differences(self, t, gamma_max):
+        t = np.array(t)
+        _, jac = _from_unconstrained(t, gamma_max)
+        h = 1e-6
+        for j in range(5):
+            step = np.zeros(5)
+            step[j] = h
+            plus, _ = _from_unconstrained(t + step, gamma_max)
+            minus, _ = _from_unconstrained(t - step, gamma_max)
+            assert jac[j] == pytest.approx((plus[j] - minus[j]) / (2.0 * h), rel=1e-5)
+
+    @given(t=st.tuples(*[st.floats(-40.0, 40.0)] * 5), gamma_max=st.floats(0.5, 10.0))
+    def test_stays_inside_the_box_where_expit_saturates(self, t, gamma_max):
+        theta, jac = _from_unconstrained(np.array(t), gamma_max)
+        for v, hi in zip(theta, _upper_bounds(gamma_max)):
+            assert 0.0 < v < math.inf
+            assert hi is None or v <= hi
+        assert np.all(np.isfinite(jac)) and np.all(jac > 0.0)
+        assert CptParams(*theta).gamma <= gamma_max
+
+
 @pytest.fixture(scope="module")
 def gain_fit():
     arrays = simulate(TRUE, 2500, seed=5, mixed_sign=False)
@@ -315,6 +360,25 @@ class TestFit:
         assert a.restart_log == b.restart_log
         assert a.log_likelihood == b.log_likelihood
 
+    def test_exact_tie_goes_to_the_lowest_restart(self, monkeypatch):
+        starts = []
+
+        def same_optimum(fun, x0, **kwargs):
+            # every restart ends at the same value, at its own start point;
+            # only the first reports failure
+            starts.append(np.array(x0))
+            return OptimizeResult(x=np.array(x0), fun=0.6, success=len(starts) > 1, nfev=1)
+
+        monkeypatch.setattr(cpt, "minimize", same_optimum)
+        arrays = simulate(TRUE, 300, seed=9, mixed_sign=True)
+        fit = fit_cpt(arrays, n_restarts=4, seed=3)
+        first = fit.restart_log[0]
+        assert [r.log_likelihood for r in fit.restart_log] == [-0.6 * 300] * 4
+        assert fit.log_likelihood == first.log_likelihood
+        assert fit.converged is first.converged is False
+        np.testing.assert_array_equal(fit.unconstrained_optimum, starts[0])
+        assert fit.params.as_tuple() == pytest.approx(first.start, rel=1e-12)
+
     def test_input_validation(self):
         arrays = simulate(TRUE, 100, seed=8)
         with pytest.raises(InputError):
@@ -356,10 +420,3 @@ class TestCurves:
         assert np.all(np.diff(wc[:, 1]) >= 0)
         small = wc[wc[:, 0] < math.exp(-1.0)]
         assert np.all(small[:, 1] < small[:, 0])
-
-    def test_custom_grid_and_validation(self):
-        grid = np.array([0.25, 0.5, 0.75])
-        wc = sample_weight_curve(IDENTITY, grid)
-        np.testing.assert_allclose(wc[:, 0], grid)
-        with pytest.raises(InputError):
-            sample_value_curve(IDENTITY, np.array([1.0, math.nan]))

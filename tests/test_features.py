@@ -16,10 +16,10 @@ from riskchoice import (
     select_features,
 )
 from riskchoice.features import (
-    DEFAULT_CANDIDATES,
+    CANDIDATE_KINDS,
+    DEFAULT_TAU_V,
     RAW_NAMES,
     SYMBOLIC_NAMES,
-    Candidate,
 )
 
 
@@ -274,20 +274,14 @@ class TestSelection:
     def test_pure_noise_indicator_not_retained(self, default_data):
         rng = np.random.Generator(np.random.PCG64(2024))
         noise = rng.integers(0, 2, len(default_data)).astype(float)
-        cands = DEFAULT_CANDIDATES + (
-            Candidate("noise", "categorical", lambda arrays: noise),
-        )
-        report = select_features(default_data, candidates=cands)
-        noise_entry = [e for e in report.entries if e.name == "noise"][0]
-        assert not noise_entry.retained
-        assert noise_entry.value < 0.1
+        assert cramers_v(noise, default_data.choice) < DEFAULT_TAU_V
 
     def test_selection_is_deterministic(self, default_data):
         assert select_features(default_data) == select_features(default_data)
 
     def test_report_serialization(self, default_data):
         doc = select_features(default_data).to_json_list()
-        assert [e["name"] for e in doc] == [c.name for c in DEFAULT_CANDIDATES]
+        assert [e["name"] for e in doc] == list(CANDIDATE_KINDS)
         assert all(
             set(e) == {"name", "metric", "value", "threshold", "retained"} for e in doc
         )
