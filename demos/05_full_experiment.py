@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 from riskchoice import ExperimentConfig, GeneratorConfig, run_experiment
@@ -9,13 +8,12 @@ cfg = ExperimentConfig(
     generator=GeneratorConfig(n=3000, seed=42),
     cpt=CptSettings(n_restarts=5),
 )
-report = run_experiment(cfg, out)
+doc = run_experiment(cfg, out)  # the document written to report.json
 
 print("wrote:", ", ".join(sorted(p.name for p in out.iterdir())))
 
 print("\n" + (out / "table1.csv").read_text())
 
-doc = json.loads((out / "report.json").read_text())
 refl = doc["reflection"]["p_risky_by_frame"]
 print(f"reflection: P(risky | frame=-1) = {refl['-1']:.3f}, "
       f"P(risky | frame=+1) = {refl['1']:.3f}")

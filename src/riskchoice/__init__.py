@@ -22,7 +22,7 @@ from .errors import (
     UndefinedMetricError,
     UsageError,
 )
-from .evaluation import EvalMetrics, accuracy, auc, evaluate_predictions, split
+from .evaluation import accuracy, auc, split
 from .features import (
     EffectSizeReport,
     cramers_v,
@@ -31,7 +31,7 @@ from .features import (
     select_features,
 )
 from .glm import FittedLogistic, fit_logistic, log_likelihood, sigmoid
-from .pipeline import ExperimentConfig, ExperimentReport, run_experiment
+from .pipeline import ExperimentConfig, evaluate_predictions, run_experiment
 from .scenario import (
     DEFAULT_TRUE_COEFFS,
     GeneratorConfig,
@@ -61,10 +61,8 @@ __all__ = [
     "UndefinedEffectSizeError",
     "UndefinedMetricError",
     "UsageError",
-    "EvalMetrics",
     "accuracy",
     "auc",
-    "evaluate_predictions",
     "split",
     "EffectSizeReport",
     "cramers_v",
@@ -76,7 +74,7 @@ __all__ = [
     "log_likelihood",
     "sigmoid",
     "ExperimentConfig",
-    "ExperimentReport",
+    "evaluate_predictions",
     "run_experiment",
     "DEFAULT_TRUE_COEFFS",
     "GeneratorConfig",

@@ -25,8 +25,8 @@ from .pipeline import (
     MODEL_KEYS,
     ExperimentConfig,
     config_fields,
+    evaluate_predictions,
     fit_model,
-    heldout_metrics,
     model_doc,
     model_probs,
     run_experiment,
@@ -153,10 +153,10 @@ def cmd_evaluate(args) -> int:
 
     arrays = read_dataset_csv(args.dataset)
     probs = model_probs(doc, arrays)  # checks the document first
-    m = heldout_metrics(doc["model"], probs, arrays.choice)
+    m = evaluate_predictions(doc["model"], probs, arrays.choice)
 
     out = _out_dir(args)
-    metrics = {"accuracy": m.accuracy, "auc": m.auc, "n_test": m.n_test}
+    metrics = {k: m[k] for k in ("accuracy", "auc", "n_test")}
     path = out / "metrics.json"
     path.write_text(json.dumps(metrics, indent=2) + "\n", encoding="ascii")
     print(json.dumps(metrics, indent=2))
@@ -180,10 +180,10 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args)
     report = run_experiment(cfg, out)
     for key in MODEL_KEYS:
-        m = report.metrics[key]
-        auc_s = "undefined" if m.auc is None else f"{m.auc:.4f}"
-        log.info("%s: accuracy=%.4f auc=%s", m.model_name, m.accuracy, auc_s)
-    log.info("wrote %d files to %s", len(report.manifest) + 1, out)
+        m = report["models"][key]["metrics"]
+        auc_s = "undefined" if m["auc"] is None else f"{m['auc']:.4f}"
+        log.info("%s: accuracy=%.4f auc=%s", m["model"], m["accuracy"], auc_s)
+    log.info("wrote %d files to %s", len(report["manifest"]) + 1, out)
     return 0
 
 

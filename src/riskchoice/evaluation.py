@@ -2,39 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import rankdata
 
 from .errors import InputError, UndefinedMetricError
 from .scenario import ScenarioArrays
-
-# Display names and qualitative interpretability labels for the three model
-# families compared in the experiment. The labels are fixed editorial
-# constants attached to the model class, not a computed metric.
-MODEL_LABELS = {"symbolic": "Symbolic", "blackbox": "Black-box", "cpt": "CPT"}
-INTERPRETABILITY = {"symbolic": "High", "blackbox": "Low", "cpt": "Moderate"}
-
-
-@dataclass(frozen=True)
-class EvalMetrics:
-    """Held-out performance of one model."""
-
-    model_name: str
-    accuracy: float
-    auc: float | None
-    n_test: int
-    interpretability_label: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "n_test": self.n_test,
-            "interpretability": self.interpretability_label,
-        }
 
 
 def split(
@@ -59,10 +31,10 @@ def split(
     return data.take(perm[:n_train]), data.take(perm[n_train:])
 
 
-def accuracy(probs, y, threshold: float = 0.5) -> float:
-    """Fraction of correct classifications at the given threshold.
+def accuracy(probs, y) -> float:
+    """Fraction of correct classifications at the threshold 0.5.
 
-    A probability exactly at the threshold counts as a positive prediction.
+    A probability of exactly 0.5 counts as a positive prediction.
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(y)
@@ -70,7 +42,7 @@ def accuracy(probs, y, threshold: float = 0.5) -> float:
         raise InputError("probs and y must be equal-length vectors")
     if probs.shape[0] == 0:
         raise InputError("cannot score an empty prediction vector")
-    preds = (probs >= threshold).astype(int)
+    preds = (probs >= 0.5).astype(int)
     return float(np.mean(preds == y))
 
 
@@ -96,17 +68,3 @@ def auc(scores, y) -> float:
     ranks = rankdata(scores)
     rank_sum_pos = float(np.sum(ranks[pos]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def evaluate_predictions(model_key: str, probs, y) -> EvalMetrics:
-    """Bundle accuracy and AUC for one model's test-set predictions."""
-    if model_key not in MODEL_LABELS:
-        raise InputError(f"unknown model key {model_key!r}")
-    y = np.asarray(y)
-    return EvalMetrics(
-        model_name=MODEL_LABELS[model_key],
-        accuracy=accuracy(probs, y),
-        auc=auc(probs, y),
-        n_test=int(y.shape[0]),
-        interpretability_label=INTERPRETABILITY[model_key],
-    )

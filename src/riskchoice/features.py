@@ -12,7 +12,7 @@ when its effect size clears the threshold for its metric.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -180,13 +180,7 @@ class EffectSizeEntry:
     retained: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "value": self.value,
-            "threshold": self.threshold,
-            "retained": self.retained,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

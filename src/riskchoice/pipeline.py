@@ -18,21 +18,13 @@ import numpy as np
 
 from . import cpt as cpt_mod
 from .charts import svg_line_chart
-from .errors import ConfigError, DataParseError, NumericalError, UndefinedMetricError
-from .evaluation import (
-    INTERPRETABILITY,
-    MODEL_LABELS,
-    EvalMetrics,
-    accuracy,
-    evaluate_predictions,
-    split,
-)
+from .errors import ConfigError, DataParseError, InputError, NumericalError, UndefinedMetricError
+from .evaluation import accuracy, auc, split
 from .features import (
     DEFAULT_TAU_ETA,
     DEFAULT_TAU_V,
     RAW_NAMES,
     SYMBOLIC_NAMES,
-    EffectSizeReport,
     design_matrix,
     select_features,
 )
@@ -54,8 +46,15 @@ log = logging.getLogger(__name__)
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_TRAIN_FRAC = 0.8
 
-# The three model families, in table order.
-MODEL_KEYS = ("symbolic", "blackbox", "cpt")
+# The three model families, in table order: key -> (display name, fixed
+# qualitative interpretability label). The label is an editorial constant
+# attached to the model class, not a computed metric.
+MODELS = {
+    "symbolic": ("Symbolic", "High"),
+    "blackbox": ("Black-box", "Low"),
+    "cpt": ("CPT", "Moderate"),
+}
+MODEL_KEYS = tuple(MODELS)
 
 
 def _fmt(x: float) -> str:
@@ -146,21 +145,6 @@ def _from_json(cls, doc: dict, section: str):
     return cls(**kwargs)
 
 
-@dataclass
-class ExperimentReport:
-    """In-memory result of a pipeline run; the JSON report mirrors it."""
-
-    config: ExperimentConfig
-    effect_report: EffectSizeReport
-    symbolic: FittedLogistic
-    blackbox: FittedLogistic
-    cpt_fit: cpt_mod.CptFit
-    metrics: dict[str, EvalMetrics]
-    reflection: dict
-    manifest: list[str]
-    out_dir: Path
-
-
 def fit_model(
     key: str, train: ScenarioArrays, cfg: ExperimentConfig, symbolic_names=SYMBOLIC_NAMES
 ):
@@ -243,20 +227,27 @@ def _doc_probs(key: str, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
     return sigmoid(design_matrix(arrays, features) @ coeffs)
 
 
-def heldout_metrics(key: str, probs, y) -> EvalMetrics:
-    """Accuracy and AUC of model family ``key``; the AUC is None, with a
-    warning, when ``y`` holds a single class."""
+def evaluate_predictions(key: str, probs, y) -> dict:
+    """Held-out accuracy and AUC of model family ``key``, as ``report.json``
+    records them; the AUC is None, with a warning, when ``y`` holds a single
+    class."""
+    if key not in MODELS:
+        raise InputError(f"unknown model key {key!r}")
+    name, interpretability = MODELS[key]
+    y = np.asarray(y)
+    acc = accuracy(probs, y)
     try:
-        return evaluate_predictions(key, probs, y)
+        auc_value = auc(probs, y)
     except UndefinedMetricError as exc:
         log.warning("AUC for %s undefined: %s", key, exc)
-        return EvalMetrics(
-            model_name=MODEL_LABELS[key],
-            accuracy=accuracy(probs, y),
-            auc=None,
-            n_test=int(np.asarray(y).shape[0]),
-            interpretability_label=INTERPRETABILITY[key],
-        )
+        auc_value = None
+    return {
+        "model": name,
+        "accuracy": acc,
+        "auc": auc_value,
+        "n_test": int(y.shape[0]),
+        "interpretability": interpretability,
+    }
 
 
 def _table1_text(rows) -> str:
@@ -265,8 +256,8 @@ def _table1_text(rows) -> str:
         "model,accuracy,auc,interpretability",
     ]
     for m in rows:
-        auc_s = "" if m.auc is None else _fmt(m.auc)
-        lines.append(f"{m.model_name},{_fmt(m.accuracy)},{auc_s},{m.interpretability_label}")
+        auc_s = "" if m["auc"] is None else _fmt(m["auc"])
+        lines.append(f"{m['model']},{_fmt(m['accuracy'])},{auc_s},{m['interpretability']}")
     return "\n".join(lines) + "\n"
 
 
@@ -311,7 +302,7 @@ def _reflection_text(reflection: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run the whole pipeline and write all artifacts under ``out_dir``.
 
     Stages: generate the dataset, split it, screen features on the training
@@ -319,7 +310,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
     raw-feature logistic models and the parametric choice model on the
     training side, score all three on the test side, and emit the dataset,
     per-model JSONs, the comparison table, curve CSVs (plus SVG renderings
-    unless disabled), and a JSON report that echoes the config.
+    unless disabled), and a JSON report that echoes the config. Returns that
+    report document, as written to ``report.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
 
         stage = "evaluate"
         metrics = {
-            key: heldout_metrics(key, model_probs(docs[key], test), test.choice)
+            key: evaluate_predictions(key, model_probs(docs[key], test), test.choice)
             for key in MODEL_KEYS
         }
         emit("table1.csv", _table1_text(metrics.values()))
@@ -405,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
             "effect_sizes": effect_report.to_json_list(),
             "retained_features": list(retained),
             "models": {
-                key: {"fit": fits[key].to_json_dict(), "metrics": metrics[key].to_json_dict()}
+                key: {"fit": fits[key].to_json_dict(), "metrics": metrics[key]}
                 for key in MODEL_KEYS
             },
             "reflection": {
@@ -432,14 +424,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRepo
             pass
         raise
 
-    return ExperimentReport(
-        config=cfg,
-        effect_report=effect_report,
-        symbolic=fits["symbolic"],
-        blackbox=fits["blackbox"],
-        cpt_fit=fits["cpt"],
-        metrics=metrics,
-        reflection=reflection,
-        manifest=manifest,
-        out_dir=out,
-    )
+    return report_doc

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataParseError, InputError
+from .errors import ConfigError, DataParseError, InputError, NumericalError
 from .glm import sigmoid
 
 # Identifier of the generator's PRNG, recorded in dataset metadata so a
@@ -223,6 +223,9 @@ def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
 
     Determinism contract: the draw order is fixed (safe, risky, p, frame,
     choice uniforms), so identical configs produce bit-identical datasets.
+    A NaN latent utility (``true_coeffs`` so large that it overflows to
+    inf - inf) raises NumericalError; an infinite one is valid, with a
+    choice probability of exactly 0 or 1.
     """
     from .features import SYMBOLIC_NAMES, design_matrix
 
@@ -237,7 +240,13 @@ def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
         id=np.arange(n, dtype=np.int64), safe=safe, risky=risky, p=p, frame=frame,
         choice=np.zeros(n, dtype=np.int64),
     )
-    utility = design_matrix(unchosen, SYMBOLIC_NAMES) @ np.asarray(cfg.true_coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        utility = design_matrix(unchosen, SYMBOLIC_NAMES) @ np.asarray(cfg.true_coeffs)
+    bad = int(np.count_nonzero(np.isnan(utility)))
+    if bad:
+        raise NumericalError(
+            f"true_coeffs give an undefined (NaN) latent utility on {bad} of {n} scenarios"
+        )
     choice = (rng.random(n) < sigmoid(utility)).astype(np.int64)
     return replace(unchosen, choice=choice)
 

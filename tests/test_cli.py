@@ -73,6 +73,24 @@ class TestGenerate:
         rows = (tmp_path / "dataset.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",0") for row in rows)
 
+    def test_nan_latent_utility_is_numerical_error(self, tmp_path, capsys):
+        # 28 of these 2000 latent utilities overflow to inf - inf; an
+        # infinite one alone would be a valid, certain choice
+        out = tmp_path / "out"
+        coeffs = "--true-coeffs=1e308,1e308,1e308,-1e308,-1e308"
+        assert run_cli("generate", "--n", "2000", "--seed", "1", coeffs, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: true_coeffs give an undefined (NaN) latent utility on 28 of 2000 scenarios\n"
+        )
+        assert not (out / "dataset.csv").exists()
+
+        exp = tmp_path / "exp"
+        assert run_cli("experiment", "--n", "2000", "--seed", "1", coeffs, "--out", str(exp)) == 3
+        report = json.loads((exp / "report.json").read_text())
+        assert report["partial"] is True and report["failed_stage"] == "generate"
+        assert report["manifest"] == []
+
     def test_malformed_coefficients(self, tmp_path):
         assert run_cli("generate", "--true-coeffs", "1,2", "--out", str(tmp_path)) == 1
         assert run_cli("generate", "--true-coeffs", "a,b,c,d,e", "--out", str(tmp_path)) == 1

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from riskchoice import (
     generate_dataset,
     split,
 )
-from riskchoice.evaluation import INTERPRETABILITY, MODEL_LABELS
+from riskchoice.pipeline import MODEL_KEYS, MODELS
 
 
 def brute_force_auc(scores, y):
@@ -121,16 +123,35 @@ class TestAuc:
 def test_evaluate_predictions_bundles_labels():
     probs = np.array([0.9, 0.4, 0.6, 0.1])
     y = np.array([1, 0, 1, 0])
-    for key in ("symbolic", "blackbox", "cpt"):
+    for key, (name, label) in MODELS.items():
         m = evaluate_predictions(key, probs, y)
-        assert m.model_name == MODEL_LABELS[key]
-        assert m.interpretability_label == INTERPRETABILITY[key]
-        assert m.n_test == 4
-        assert m.accuracy == 1.0 and m.auc == 1.0
+        assert list(m.items()) == [
+            ("model", name),
+            ("accuracy", 1.0),
+            ("auc", 1.0),
+            ("n_test", 4),
+            ("interpretability", label),
+        ]
     with pytest.raises(InputError):
         evaluate_predictions("oracle", probs, y)
 
 
+def test_single_class_auc_is_null_with_a_warning(caplog):
+    probs = np.array([0.9, 0.4, 0.6])
+    with caplog.at_level(logging.WARNING, logger="riskchoice.pipeline"):
+        m = evaluate_predictions("symbolic", probs, np.ones(3, dtype=int))
+    assert m["auc"] is None
+    assert m["accuracy"] == pytest.approx(2 / 3)
+    assert caplog.messages == ["AUC for symbolic undefined: AUC undefined: only one class present"]
+    # accuracy is checked first, so a length mismatch is its error, not the AUC's
+    with pytest.raises(InputError, match="probs and y"):
+        evaluate_predictions("symbolic", probs, np.ones(2, dtype=int))
+
+
 def test_interpretability_labels_are_fixed_constants():
-    assert INTERPRETABILITY == {"symbolic": "High", "blackbox": "Low", "cpt": "Moderate"}
-    assert MODEL_LABELS == {"symbolic": "Symbolic", "blackbox": "Black-box", "cpt": "CPT"}
+    assert MODELS == {
+        "symbolic": ("Symbolic", "High"),
+        "blackbox": ("Black-box", "Low"),
+        "cpt": ("CPT", "Moderate"),
+    }
+    assert MODEL_KEYS == ("symbolic", "blackbox", "cpt")

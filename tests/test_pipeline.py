@@ -155,7 +155,7 @@ class TestConfig:
 class TestRun:
     def test_manifest_files_exist(self, small_run):
         report, out = small_run
-        for name in report.manifest:
+        for name in report["manifest"]:
             assert (out / name).exists(), name
         assert (out / "report.json").exists()
         expected = {
@@ -173,7 +173,11 @@ class TestRun:
             "weight_curve.svg",
             "reflection.svg",
         }
-        assert set(report.manifest) == expected
+        assert set(report["manifest"]) == expected
+
+    def test_returns_the_report_it_writes(self, small_run):
+        report, out = small_run
+        assert report == json.loads((out / "report.json").read_text())
 
     def test_table_rows_and_order(self, small_run):
         _, out = small_run
@@ -198,16 +202,16 @@ class TestRun:
             assert float(auc_s) == doc["models"][key]["metrics"]["auc"]
 
     def test_report_config_echo(self, small_run):
-        report, out = small_run
+        _, out = small_run
         doc = json.loads((out / "report.json").read_text())
-        assert doc["config"] == report.config.to_json_dict()
+        assert doc["config"] == small_config().to_json_dict()
         rebuilt = ExperimentConfig.from_json_dict(doc["config"])
-        assert rebuilt == report.config
+        assert rebuilt == small_config()
 
     def test_reflection_direction(self, small_run):
         report, out = small_run
-        rows = dict(report.reflection["rows"])
-        assert rows[-1.0] > rows[1.0]
+        rows = report["reflection"]["p_risky_by_frame"]
+        assert rows["-1"] > rows["1"]
         lines = (out / "reflection.csv").read_text().splitlines()
         assert lines[0].startswith("#") and "magnitude=" in lines[1]
         data_lines = [l for l in lines if not l.startswith("#")]
@@ -232,7 +236,7 @@ class TestRun:
 
     def test_no_svg_option(self, tmp_path):
         report = run_experiment(small_config(emit_svg=False), tmp_path)
-        assert not any(name.endswith(".svg") for name in report.manifest)
+        assert not any(name.endswith(".svg") for name in report["manifest"])
         assert not list(tmp_path.glob("*.svg"))
 
     def test_select_on_full_flag_changes_selection_input(self, tmp_path):
@@ -240,21 +244,23 @@ class TestRun:
         # the signal; identical otherwise
         cfg = small_config(select_on_full=True)
         report = run_experiment(cfg, tmp_path / "a")
-        assert "frame" in report.effect_report.retained_names()
+        assert "frame" in report["retained_features"]
 
     def test_train_accuracy_at_least_test(self, small_run):
         # informational regression: not a theorem, but holds on this seed
         report, out = small_run
         from riskchoice import accuracy, generate_dataset, split
-        from riskchoice.features import design_matrix
+        from riskchoice.pipeline import model_probs
 
-        data = generate_dataset(report.config.generator)
-        train, test = split(data, report.config.train_frac, report.config.split_seed)
-        retained = report.effect_report.retained_names()
-        X_train = design_matrix(train, retained)
-        train_acc = accuracy(report.symbolic.predict(X_train), train.choice)
-        print(f"train accuracy {train_acc:.4f} vs test {report.metrics['symbolic'].accuracy:.4f}")
-        assert train_acc >= report.metrics["symbolic"].accuracy - 0.02
+        cfg = ExperimentConfig.from_json_dict(report["config"])
+        data = generate_dataset(cfg.generator)
+        train, test = split(data, cfg.train_frac, cfg.split_seed)
+        symbolic = report["models"]["symbolic"]
+        train_probs = model_probs({"model": "symbolic", **symbolic["fit"]}, train)
+        train_acc = accuracy(train_probs, train.choice)
+        test_acc = symbolic["metrics"]["accuracy"]
+        print(f"train accuracy {train_acc:.4f} vs test {test_acc:.4f}")
+        assert train_acc >= test_acc - 0.02
 
 
 class TestFailureHandling:
