@@ -147,6 +147,11 @@ class FittedLogistic:
         }
 
 
+def _separates(X, y, beta) -> bool:
+    """True when every row's margin (2y - 1) x'beta is strictly positive."""
+    return bool(np.all((2.0 * y - 1.0) * (X @ beta) > 0))
+
+
 def fit_logistic(
     X,
     y,
@@ -217,13 +222,18 @@ def fit_logistic(
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
+            # unpenalized separation can round every weight mu(1 - mu) to 0;
+            # the separation check after the loop reports it
+            if l2_strength == 0.0 and _separates(X_fit, y, beta):
+                break
             cond = np.linalg.cond(info)
-            raise NumericalError(
-                f"singular normal equations (condition number {cond:.3g}); "
-                "check for collinear features"
-            ) from None
-        if not np.all(np.isfinite(step)):
-            cond = np.linalg.cond(info)
+            if step is None:
+                raise NumericalError(
+                    f"singular normal equations (condition number {cond:.3g}); "
+                    "check for collinear features"
+                )
             raise NumericalError(
                 f"non-finite Newton step (condition number {cond:.3g})"
             )
@@ -247,8 +257,7 @@ def fit_logistic(
     # sits on the correct side: the likelihood improves without bound along
     # the separating direction, so a small gradient there is saturation, not
     # a maximum
-    margins = (2.0 * y - 1.0) * (X_fit @ beta)
-    if l2_strength == 0.0 and np.all(margins > 0):
+    if l2_strength == 0.0 and _separates(X_fit, y, beta):
         converged = False
         diagnostics.append(
             "possible separation: all observations classified perfectly, "

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskchoice import InputError, NumericalError, fit_logistic, log_likelihood, sigmoid
@@ -189,6 +189,13 @@ class TestFitLogistic:
         with pytest.raises(NumericalError, match="condition number"):
             fit_logistic(X, y)
 
+    def test_saturated_separation_is_reported_not_raised(self):
+        # with no tolerance the fit drives every weight mu(1 - mu) to 0 and
+        # the normal equations become singular before the loop ends
+        fit = fit_logistic(*SATURATING, tol=0.0)
+        assert not fit.converged
+        assert any("possible separation" in d for d in fit.diagnostics)
+
     def test_rescaling_invariance(self):
         rng = np.random.Generator(np.random.PCG64(9))
         X, y = _random_instance(rng, n=400)
@@ -265,6 +272,11 @@ class TestFitLogistic:
 SEPARABLE_X = np.column_stack([np.ones(6), [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]])
 SEPARABLE_Y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 WELL_POSED = _random_instance(np.random.Generator(np.random.PCG64(21)), n=30)
+# separated; without a tolerance its normal equations turn singular
+SATURATING = (
+    np.column_stack([np.ones(4), [0.189, -0.523, -0.413, -2.441]]),
+    np.array([0.0, 1.0, 1.0, 1.0]),
+)
 
 
 @st.composite
@@ -284,9 +296,10 @@ def small_fits(draw):
 
 
 class TestExitPaths:
-    """Every exit of the Newton loop (stop test met, the step cap, or a line
-    search that cannot improve) returns a fit whose reported figures are
-    those of its final coefficients."""
+    """Every exit of the Newton loop (stop test met, the step cap, a line
+    search that cannot improve, or a singular step on a separated design)
+    returns a fit whose reported figures are those of its final
+    coefficients."""
 
     @settings(max_examples=200)
     @given(case=small_fits())
@@ -296,17 +309,10 @@ class TestExitPaths:
     @example(case=(*WELL_POSED, 0.0, 0.0))
     @example(case=(*WELL_POSED, 0.5, 0.0))
     @example(case=(SEPARABLE_X, SEPARABLE_Y, 0.0, 0.0))
+    @example(case=(*SATURATING, 0.0, 0.0))
     def test_reported_figures_hold_at_the_coefficients(self, case):
         X, y, l2, tol = case
-        try:
-            fit = fit_logistic(X, y, l2, tol=tol)
-        except NumericalError:
-            # with neither a penalty nor a tolerance, a separated design can
-            # saturate enough weights to leave the normal equations singular:
-            # a raise, not an exit of the loop
-            if l2 or tol:
-                raise
-            reject()
+        fit = fit_logistic(X, y, l2, tol=tol)
         grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
         if fit.covariance is not None:
             inv = np.linalg.inv(-hess)

@@ -5,11 +5,12 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskchoice import (
@@ -198,6 +199,66 @@ def test_golden_seed42_dataset(tmp_path):
     assert_same_columns(back, generate_dataset(GeneratorConfig(n=5000, seed=42)))
     write_dataset_csv(back, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_csv_chunks_mix_exact_and_fallback_values(tmp_path, monkeypatch):
+    # values the kernel renders exactly and values it hands to "%.17g" share
+    # each 64-row chunk
+    monkeypatch.setattr(scenario_module, "_CSV_CHUNK_ROWS", 64)
+    rng = np.random.Generator(np.random.PCG64(12))
+    n = 203
+    payoff_fallbacks = [0.0, -0.0, 5e-324, -1e-7, 1e-6, 1e16, -2.5e17, 1.7976931348623157e308]
+    safe = rng.uniform(-100.0, 100.0, n)
+    risky = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 16.0, n)
+    p = rng.uniform(1e-5, 1.0 - 1e-5, n)
+    safe[::5] = np.resize(payoff_fallbacks, safe[::5].size)
+    risky[2::7] = np.resize(payoff_fallbacks[::-1], risky[2::7].size)
+    p[3::6] = np.resize([5e-324, 1e-7, 1e-6, 9e-7], p[3::6].size)
+    data = make_arrays(safe, risky, p, rng.choice([-1, 1], n), rng.integers(0, 2, n))
+    path = tmp_path / "mixed.csv"
+    write_dataset_csv(data, path)
+    assert path.read_bytes() == reference_csv(data).encode("ascii")
+    assert_same_columns(read_dataset_csv(path), data)
+
+
+def test_csv_ids_span_int64(tmp_path):
+    ids = np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)
+    data = replace(make_arrays([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.5] * 3, [1, -1, 1]), id=ids)
+    path = tmp_path / "ids.csv"
+    write_dataset_csv(data, path)
+    assert path.read_bytes() == reference_csv(data).encode("ascii")
+    assert path.read_text().splitlines()[1].startswith("-9223372036854775808,")
+    assert_same_columns(read_dataset_csv(path), data)
+
+
+def kernel_text(values):
+    """Each float as the CSV writer's float kernel renders it, with its comma."""
+    out = np.zeros((len(values), scenario_module._FIELD_WORDS), scenario_module._WORD)
+    scenario_module._render_floats(np.array(values, dtype=np.float64), out)
+    return [bytes(row).replace(b"\0", b"") for row in out]
+
+
+def around(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+@settings(max_examples=300)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e17, 1e17),
+        min_size=1,
+        max_size=50,
+    )
+)
+# powers of ten and their neighbours across the exact range and past both ends
+@example(values=[v for k in range(-8, 18) for v in around(float(f"1e{k}"))])
+@example(values=[-v for k in range(-8, 18) for v in around(float(f"1e{k}"))])
+# the lower end of the exact range; exact ties in the 17th digit
+@example(values=[1e-6, 9.9999999999999995e-07])
+@example(values=[1234567890123456.75, 1234567890123456.25])
+@example(values=[-0.0, 5e-324, 1.7976931348623157e308])
+def test_float_kernel_matches_format(values):
+    assert kernel_text(values) == [format(v, ".17g").encode() + b"," for v in values]
 
 
 def test_csv_header_and_shape(tmp_path):
