@@ -114,16 +114,17 @@ def cramers_v(x, y) -> float:
     if n < 2:
         raise InputError("need at least 2 observations")
 
-    x_levels, xi = np.unique(x, return_inverse=True)
-    y_levels, yi = np.unique(y, return_inverse=True)
+    x_levels, y_levels = np.unique(x), np.unique(y)
     r, c = x_levels.shape[0], y_levels.shape[0]
     if r < 2:
         raise UndefinedEffectSizeError("x is constant; Cramér's V is undefined")
     if c < 2:
         raise UndefinedEffectSizeError("y is constant; Cramér's V is undefined")
 
-    observed = np.zeros((r, c))
-    np.add.at(observed, (xi, yi), 1.0)
+    # each value's level index; searchsorted orders NaN last and -0.0 with
+    # 0.0, as unique does
+    cell = np.searchsorted(x_levels, x) * c + np.searchsorted(y_levels, y)
+    observed = np.bincount(cell, minlength=r * c).reshape(r, c).astype(float)
     row_tot = observed.sum(axis=1, keepdims=True)
     col_tot = observed.sum(axis=0, keepdims=True)
     expected = row_tot @ col_tot / n

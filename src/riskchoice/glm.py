@@ -4,6 +4,13 @@ Fitting is Newton/IRLS with a step-halving line search on the penalized
 log-likelihood. The optional L2 penalty never touches the intercept, which by
 convention is column 0 of the design matrix. The covariance of the estimates
 is the inverse of the negative penalized Hessian at the optimum.
+
+One kernel, ``_pass``, computes the log-likelihood, gradient and Hessian
+together in a single pass over the rows, ``_BLOCK_ROWS`` at a time, reading a
+contiguous k x n copy of the design's transpose that each public call makes
+once. Beyond that copy a pass holds only one block's temporaries (a k x
+``_BLOCK_ROWS`` weighted copy and a few block-length vectors), never an n x k
+or full-length one.
 """
 
 from __future__ import annotations
@@ -17,6 +24,14 @@ from .errors import InputError, NumericalError
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
+
+# Rows per block of a likelihood pass. A block's k x 8192 slice of the
+# transposed design and its weighted copy stay in cache. On a 2-core machine
+# with BLAS on one thread, one pass over an 800k x 5 design took about 0.04 s
+# at 4096 to 16384 rows, 0.05 s at 32768 and 0.10 s at 131072, and the two
+# 800k-row fits of a 1M-row dataset took 0.49-0.51 s together at 4096 to
+# 32768 rows.
+_BLOCK_ROWS = 1 << 13
 
 
 # The logistic link 1/(1+exp(-z)) of every model family; exact and
@@ -65,17 +80,14 @@ def log_likelihood(coeffs, X, y) -> float:
     region and never returns -inf for finite inputs.
     """
     X, y, coeffs = _check_inputs(X, y, coeffs=coeffs)
-    return _log_likelihood(coeffs, X, y)
-
-
-def _log_likelihood(coeffs, X, y) -> float:
-    return -softplus_sum((1.0 - 2.0 * y) * (X @ coeffs))[0]
+    return _pass(coeffs, _transposed(X), y, 0.0, _penalty_mask(X.shape[1]))[0]
 
 
 def _penalty_mask(k: int) -> np.ndarray:
-    # column 0 is the intercept: never penalized
+    # column 0 is the intercept: never penalized (a design with no columns
+    # has none)
     mask = np.ones(k)
-    mask[0] = 0.0
+    mask[:1] = 0.0
     return mask
 
 
@@ -86,19 +98,44 @@ def gradient_and_hessian(coeffs, X, y, l2_strength: float = 0.0):
     where b~ and I~ zero out the intercept entry.
     """
     X, y, coeffs = _check_inputs(X, y, l2_strength, coeffs)
-    return _gradient_and_hessian(coeffs, X, y, l2_strength, _penalty_mask(X.shape[1]))
+    return _pass(coeffs, _transposed(X), y, l2_strength, _penalty_mask(X.shape[1]))[1:]
 
 
-def _gradient_and_hessian(coeffs, X, y, l2_strength, mask):
-    mu = sigmoid(X @ coeffs)
-    grad = X.T @ (y - mu) - l2_strength * mask * coeffs
-    w = mu * (1.0 - mu)
-    hess = -(X.T * w) @ X - l2_strength * np.diag(mask)
-    return grad, hess
+def _transposed(X) -> np.ndarray:
+    """The k x n transpose of the design, contiguous, so each block of a pass
+    reads k runs of consecutive rows."""
+    return np.ascontiguousarray(X.T)
 
 
-def _penalized_ll(coeffs, X, y, l2_strength, mask) -> float:
-    return _log_likelihood(coeffs, X, y) - 0.5 * l2_strength * float(np.sum(mask * coeffs**2))
+def _pass(coeffs, XT, y, l2_strength, mask):
+    """Log-likelihood, gradient and Hessian at ``coeffs`` in one pass over the
+    rows of the transposed design ``XT``, ``_BLOCK_ROWS`` at a time.
+
+    Per row, z = x'b, mu = sigma(z) and w = mu (1 - mu); the log-likelihood
+    is -softplus_sum((1 - 2y) z) and is unpenalized, while the gradient and
+    Hessian are those of the penalized objective (see gradient_and_hessian).
+    Block partial sums are added in row order.
+    """
+    k, n = XT.shape
+    nll = 0.0
+    score = np.zeros(k)
+    info = np.zeros((k, k))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        xt, yb = XT[:, block], y[block]
+        z = coeffs @ xt
+        nll += softplus_sum((1.0 - 2.0 * yb) * z)[0]
+        mu = sigmoid(z)
+        score += xt @ (yb - mu)
+        info += (xt * (mu * (1.0 - mu))) @ xt.T
+    grad = score - l2_strength * mask * coeffs
+    hess = -info - l2_strength * np.diag(mask)
+    return -nll, grad, hess
+
+
+def _penalized(ll, coeffs, l2_strength, mask) -> float:
+    """The fitted objective: log-likelihood ``ll`` less the L2 penalty."""
+    return ll - 0.5 * l2_strength * float(np.sum(mask * coeffs**2))
 
 
 @dataclass
@@ -147,9 +184,10 @@ class FittedLogistic:
         }
 
 
-def _separates(X, y, beta) -> bool:
-    """True when every row's margin (2y - 1) x'beta is strictly positive."""
-    return bool(np.all((2.0 * y - 1.0) * (X @ beta) > 0))
+def _separates(XT, y, beta) -> bool:
+    """True when every row's margin (2y - 1) x'beta is strictly positive;
+    ``XT`` is the transposed design."""
+    return bool(np.all((2.0 * y - 1.0) * (beta @ XT) > 0))
 
 
 def fit_logistic(
@@ -169,6 +207,13 @@ def fit_logistic(
     (``DEFAULT_MAX_ITER``); each step is halved until the penalized
     objective does not decrease, and a step that no halving makes
     non-decreasing ends the fit, counted as a step.
+
+    Each line-search candidate costs one blocked pass over the rows that
+    gives its log-likelihood, gradient and Hessian together; the accepted
+    candidate keeps its gradient and Hessian, so a Newton step normally
+    costs one pass. The fit holds one k x n transposed copy of the design
+    (standardized in place when asked) and, per pass, only one block's
+    temporaries.
 
     With ``standardize=True`` the non-intercept columns are centered and
     scaled before fitting and the estimates (and covariance) are mapped back
@@ -195,25 +240,24 @@ def fit_logistic(
     else:
         feature_names = tuple(f"x{j}" for j in range(k))
 
+    XT = _transposed(X)
     if standardize:
         means = X.mean(axis=0)
         scales = X.std(axis=0)
         means[0] = 0.0
         scales[0] = 1.0
         scales[scales == 0.0] = 1.0
-        X_fit = (X - means) / scales
-    else:
-        X_fit = X
+        XT -= means[:, None]
+        XT /= scales[:, None]
 
     mask = _penalty_mask(k)
     beta = np.zeros(k)
-    obj = _penalized_ll(beta, X_fit, y, l2_strength, mask)
+    # every exit leaves ll, grad and hess evaluated at the final beta
+    ll, grad, hess = _pass(beta, XT, y, l2_strength, mask)
+    obj = _penalized(ll, beta, l2_strength, mask)
     iterations = 0
     diagnostics: list[str] = []
 
-    # one gradient/Hessian pass per iterate: every exit leaves grad and hess
-    # evaluated at the final beta
-    grad, hess = _gradient_and_hessian(beta, X_fit, y, l2_strength, mask)
     while True:
         converged = bool(np.max(np.abs(grad)) < tol)
         if converged or iterations == DEFAULT_MAX_ITER:
@@ -226,7 +270,7 @@ def fit_logistic(
         if step is None or not np.all(np.isfinite(step)):
             # unpenalized separation can round every weight mu(1 - mu) to 0;
             # the separation check after the loop reports it
-            if l2_strength == 0.0 and _separates(X_fit, y, beta):
+            if l2_strength == 0.0 and _separates(XT, y, beta):
                 break
             cond = np.linalg.cond(info)
             if step is None:
@@ -244,20 +288,21 @@ def fit_logistic(
         t = 1.0
         for _ in range(40):
             candidate = beta + t * step
-            new_obj = _penalized_ll(candidate, X_fit, y, l2_strength, mask)
+            at_candidate = _pass(candidate, XT, y, l2_strength, mask)
+            new_obj = _penalized(at_candidate[0], candidate, l2_strength, mask)
             if new_obj >= obj:
                 break
             t *= 0.5
         else:
             break
         beta, obj = candidate, new_obj
-        grad, hess = _gradient_and_hessian(beta, X_fit, y, l2_strength, mask)
+        ll, grad, hess = at_candidate
 
     # all margins strictly positive with no penalty means every observation
     # sits on the correct side: the likelihood improves without bound along
     # the separating direction, so a small gradient there is saturation, not
     # a maximum
-    if l2_strength == 0.0 and _separates(X_fit, y, beta):
+    if l2_strength == 0.0 and _separates(XT, y, beta):
         converged = False
         diagnostics.append(
             "possible separation: all observations classified perfectly, "
@@ -283,8 +328,11 @@ def fit_logistic(
         if cov is not None:
             cov = transform @ cov @ transform.T
             cov = (cov + cov.T) / 2.0
+        # the reported log-likelihood is that of the original design; the
+        # standardized copy goes first, so at most one copy is held
+        del XT
+        ll = log_likelihood(beta, X, y)
 
-    ll = _log_likelihood(beta, X, y)
     return FittedLogistic(
         feature_names=feature_names,
         coeffs=beta,

@@ -319,8 +319,29 @@ _POINT_BITS = _point_bits()
 # frame (-1 or +1) and choice (0 or 1) with their separators, at frame + 1 + choice
 _ROW_TAIL = np.array([b"-1,0\n", b"-1,1\n", b"1,0\n", b"1,1\n"], "S8")
 
+# ids in [0, 10**12) are rendered from three four-digit groups; any other id
+# (negative, or of 13 digits or more) is rendered by astype("S20"), which its
+# 24-byte field holds
+_ID_WORDS = 3
+_ID_DIGITS = 4 * _ID_WORDS
+_ID_LIMIT = 10**_ID_DIGITS
+_ID_POW10 = 10 ** np.arange(1, _ID_DIGITS, dtype=np.int64)
+# ID_KEEP[w][d]: the part of group word w (0 the leading group) that an id of
+# d digits covers, its last d - 4 * (_ID_WORDS - 1 - w) digits clipped to
+# [0, 4]; the zeros ahead of the id's first digit become NULs
+_ID_KEEP = np.array(
+    [
+        [
+            (1 << 64) - (1 << 16 * (4 - min(max(d - 4 * (_ID_WORDS - 1 - w), 0), 4)))
+            for d in range(_ID_DIGITS + 1)
+        ]
+        for w in range(_ID_WORDS)
+    ],
+    _WORD,
+)
+
 _CSV_ROW_DTYPE = np.dtype(
-    [("id", "S20"), ("comma", "S4")]
+    [("id", _WORD, (_ID_WORDS,)), ("comma", "S4")]
     + [(name, _WORD, (_FIELD_WORDS,)) for name in ("safe", "risky", "p")]
     + [("tail", "S8")]
 )
@@ -336,6 +357,28 @@ def _scaled(a, k):
     a_lo = a - a_hi
     hi, lo = _POW10_HI[m], _POW10_LO[m]
     return p, ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+
+
+def _render_ids(ids: np.ndarray, out: np.ndarray) -> None:
+    """Write str(i) for each int64 id ``i`` into the rows of ``out``, an
+    (n, 3) array of words, as NUL-padded text.
+
+    An id in [0, 10**12) is looked up as three four-digit groups, with the
+    zeros ahead of its first digit masked to NUL; any other id is rendered
+    by astype("S20").
+    """
+    others = np.flatnonzero((ids < 0) | (ids >= _ID_LIMIT))
+    v = ids.copy()
+    v[others] = 0
+    digits = 1 + np.searchsorted(_ID_POW10, v, side="right")
+    top = v // 10**8
+    v -= top * 10**8
+    mid = v // 10**4
+    for w, g in enumerate((top, mid, v - mid * 10**4)):
+        out[:, w] = _FOUR_DIGITS[g] & _ID_KEEP[w][digits]
+    if others.size:
+        text = ids[others].astype("S20").astype(f"S{8 * _ID_WORDS}")
+        out[others] = text.view(_WORD).reshape(-1, _ID_WORDS)
 
 
 def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
@@ -411,7 +454,9 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
     Floats with 1e-6 <= |x| < 1e16 take an exact numpy path that works out
     their 17 significant digits in integer arithmetic; any other value (a
     zero, a subnormal, a smaller or larger magnitude) is formatted on its
-    own with "%.17g". Rows are rendered ``_CSV_CHUNK_ROWS`` at a time.
+    own with "%.17g". Ids in [0, 10**12) are looked up in the same
+    four-digit table; any other id is rendered by astype("S20"). Rows are
+    rendered ``_CSV_CHUNK_ROWS`` at a time.
     """
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_HEADER).encode("ascii") + b"\n")
@@ -419,7 +464,7 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
             ids = data.id[chunk]
             rows = np.empty(ids.shape[0], _CSV_ROW_DTYPE)
-            rows["id"] = ids.astype("S20")
+            _render_ids(ids, rows["id"])
             rows["comma"] = b","
             for name in ("safe", "risky", "p"):
                 _render_floats(getattr(data, name)[chunk], rows[name])

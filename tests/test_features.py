@@ -143,6 +143,38 @@ class TestCramersV:
         with pytest.raises(InputError):
             cramers_v(np.array([1]), np.array([0]))
 
+    @settings(max_examples=300)
+    @given(
+        pool=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.5]) | st.floats(),
+            min_size=1,
+            max_size=5,
+        ),
+        y_levels=st.lists(st.integers(-5, 5), min_size=2, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_matches_unique_inverse_reference_bitwise(self, pool, y_levels, data):
+        # floats drawn from a small pool, so levels repeat; NaNs form one
+        # level and -0.0 shares the level of 0.0
+        n = data.draw(st.integers(2, 40))
+        x = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.sampled_from(y_levels), min_size=n, max_size=n)))
+
+        x_levels, xi = np.unique(x, return_inverse=True)
+        y_unique, yi = np.unique(y, return_inverse=True)
+        r, c = x_levels.shape[0], y_unique.shape[0]
+        if r < 2 or c < 2:
+            with pytest.raises(UndefinedEffectSizeError):
+                cramers_v(x, y)
+            return
+        observed = np.zeros((r, c))
+        np.add.at(observed, (xi, yi), 1.0)
+        expected = observed.sum(axis=1, keepdims=True) @ observed.sum(axis=0, keepdims=True) / n
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        v2 = chi2 / (n * (min(r, c) - 1))
+        reference = float(min(max(np.sqrt(max(v2, 0.0)), 0.0), 1.0))
+        assert cramers_v(x, y).hex() == reference.hex()
+
 
 class TestEtaSquared:
     def test_pinned_small_instance(self):

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskchoice import InputError, NumericalError, fit_logistic, log_likelihood, sigmoid
+from riskchoice import InputError, NumericalError, fit_logistic, glm, log_likelihood, sigmoid
 from riskchoice.glm import DEFAULT_MAX_ITER, DEFAULT_TOL, gradient_and_hessian, softplus_sum
 
 
@@ -280,12 +281,12 @@ SATURATING = (
 
 
 @st.composite
-def small_fits(draw):
+def small_fits(draw, max_rows=30):
     """A small random design with an intercept column, 0/1 responses holding
     both classes, an L2 strength (0 or positive) and a stop tolerance (the
     default, or 0.0, which only an exactly zero gradient meets)."""
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(k + 2, 30))
+    n = draw(st.integers(k + 2, max_rows))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
     y = rng.integers(0, 2, n).astype(float)
@@ -339,6 +340,80 @@ class TestExitPaths:
         grad, _ = gradient_and_hessian(stalled.coeffs, SEPARABLE_X, SEPARABLE_Y)
         assert np.max(np.abs(grad)) > 0.0
         assert stalled.iterations == 48 and not stalled.converged
+
+
+# rows per block while testing the blocked pass, so designs of up to 60 rows
+# span one to nine blocks, the last one partial
+SMALL_BLOCK = 7
+
+
+@st.composite
+def pass_points(draw):
+    """A design of 1-60 rows with an intercept column, 0/1 responses,
+    coefficients from near zero to saturating, and an L2 strength."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    y = rng.integers(0, 2, n).astype(float)
+    coeffs = rng.normal(size=k) * draw(st.sampled_from([0.0, 0.1, 1.0, 30.0]))
+    l2 = draw(st.just(0.0) | st.floats(0.01, 10.0))
+    return X, y, coeffs, l2
+
+
+class TestBlockedPass:
+    """The likelihood pass reads the rows in blocks; with a small block size
+    every figure it reports matches the one-shot formulas, and a fit keeps
+    the exit contract of TestExitPaths."""
+
+    @settings(max_examples=300)
+    @given(point=pass_points())
+    def test_matches_unblocked_reference(self, point):
+        X, y, coeffs, l2 = point
+        mask = np.ones(X.shape[1])
+        mask[0] = 0.0
+        z = X @ coeffs
+        mu = sigmoid(z)
+        ref_ll = -float(np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * z)))
+        ref_grad = X.T @ (y - mu) - l2 * mask * coeffs
+        ref_hess = -(X.T * (mu * (1.0 - mu))) @ X - l2 * np.diag(mask)
+        with mock.patch.object(glm, "_BLOCK_ROWS", SMALL_BLOCK):
+            ll = log_likelihood(coeffs, X, y)
+            grad, hess = gradient_and_hessian(coeffs, X, y, l2)
+        # block partial sums add in another order; the absolute floor is
+        # 1e-12 of the summed magnitudes, for sums that cancel
+        ll_scale = float(np.sum(np.abs(np.logaddexp(0.0, (1.0 - 2.0 * y) * z))))
+        assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12 * ll_scale)
+        grad_scale = np.abs(X).T @ np.abs(y - mu) + l2 * np.abs(coeffs)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * grad_scale.max())
+        hess_scale = (np.abs(X).T * (mu * (1.0 - mu))) @ np.abs(X) + l2
+        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * hess_scale.max())
+
+    @settings(max_examples=200)
+    @given(case=small_fits(max_rows=60))
+    # converged, and a separated design of 30 rows with no tolerance
+    @example(case=(*WELL_POSED, 0.0, DEFAULT_TOL))
+    @example(
+        case=(
+            np.column_stack([np.ones(30), np.linspace(-2.0, 2.0, 30)]),
+            (np.linspace(-2.0, 2.0, 30) > 0).astype(float),
+            0.0,
+            0.0,
+        )
+    )
+    def test_exit_contract_holds_across_blocks(self, case):
+        X, y, l2, tol = case
+        with mock.patch.object(glm, "_BLOCK_ROWS", SMALL_BLOCK):
+            fit = fit_logistic(X, y, l2, tol=tol)
+            grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
+            ll = log_likelihood(fit.coeffs, X, y)
+        if fit.covariance is not None:
+            inv = np.linalg.inv(-hess)
+            np.testing.assert_array_equal(fit.covariance, (inv + inv.T) / 2.0)
+        assert fit.log_likelihood == ll
+        assert fit.iterations <= DEFAULT_MAX_ITER
+        if not any("separation" in d for d in fit.diagnostics):
+            assert fit.converged == (np.max(np.abs(grad)) < tol)
 
 
 class TestPredictProb:

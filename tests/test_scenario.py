@@ -261,6 +261,23 @@ def test_float_kernel_matches_format(values):
     assert kernel_text(values) == [format(v, ".17g").encode() + b"," for v in values]
 
 
+@settings(max_examples=300)
+@given(
+    ids=st.lists(
+        st.integers(-(2**63), 2**63 - 1) | st.integers(0, 10**13), min_size=1, max_size=50
+    )
+)
+# zero; a four-digit group filling up; each power of ten where a group starts,
+# and the upper end of the exact range and past it; a negative id
+@example(ids=[0, 9999, 10000])
+@example(ids=[v for k in (4, 8, 12) for v in (10**k - 1, 10**k, 10**k + 1)])
+@example(ids=[-1, -(2**63), 2**63 - 1])
+def test_id_kernel_matches_str(ids):
+    out = np.zeros((len(ids), scenario_module._ID_WORDS), scenario_module._WORD)
+    scenario_module._render_ids(np.array(ids, dtype=np.int64), out)
+    assert [bytes(row).replace(b"\0", b"") for row in out] == [str(i).encode() for i in ids]
+
+
 def test_csv_header_and_shape(tmp_path):
     data = generate_dataset(GeneratorConfig(n=40, seed=1))
     path = tmp_path / "d.csv"
