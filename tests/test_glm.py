@@ -228,6 +228,18 @@ class TestFitLogistic:
         np.testing.assert_allclose(std.predict(X), raw.predict(X), atol=1e-7)
         np.testing.assert_allclose(std.std_errors, raw.std_errors, rtol=1e-4)
 
+    def test_standardize_leaves_a_column_major_design_alone(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        n = 500
+        X = np.asfortranarray(
+            np.column_stack([np.ones(n), rng.uniform(0, 100, n), rng.uniform(0, 150, n)])
+        )
+        y = (rng.random(n) < sigmoid(X @ np.array([-0.5, 0.03, -0.02]))).astype(float)
+        original = X.copy()
+        fit = fit_logistic(X, y, standardize=True)
+        np.testing.assert_array_equal(X, original)
+        assert fit.log_likelihood == log_likelihood(fit.coeffs, X, y)
+
     def test_log_likelihood_nonpositive_and_preconditions(self):
         rng = np.random.Generator(np.random.PCG64(12))
         X, y = _random_instance(rng)
@@ -280,13 +292,19 @@ SATURATING = (
 )
 
 
+# rows per block while testing the blocked pass, so designs of up to 60 rows
+# span one to nine blocks, the last one partial
+SMALL_BLOCK = 7
+
+
 @st.composite
-def small_fits(draw, max_rows=30):
-    """A small random design with an intercept column, 0/1 responses holding
-    both classes, an L2 strength (0 or positive) and a stop tolerance (the
-    default, or 0.0, which only an exactly zero gradient meets)."""
+def small_fits(draw):
+    """A random design of up to 60 rows with an intercept column, 0/1
+    responses holding both classes, an L2 strength (0 or positive) and a stop
+    tolerance (the default, or 0.0, which only an exactly zero gradient
+    meets)."""
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(k + 2, max_rows))
+    n = draw(st.integers(k + 2, 60))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
     y = rng.integers(0, 2, n).astype(float)
@@ -300,28 +318,41 @@ class TestExitPaths:
     """Every exit of the Newton loop (stop test met, the step cap, a line
     search that cannot improve, or a singular step on a separated design)
     returns a fit whose reported figures are those of its final
-    coefficients."""
+    coefficients, whether the rows fit in one likelihood block or span
+    several."""
 
     @settings(max_examples=200)
     @given(case=small_fits())
     # the stop test met; the cap, with an unreachable tolerance, with and
-    # without a penalty; a failed line search
+    # without a penalty; a failed line search; a separated design of 30 rows
+    # with no tolerance
     @example(case=(*WELL_POSED, 0.0, DEFAULT_TOL))
     @example(case=(*WELL_POSED, 0.0, 0.0))
     @example(case=(*WELL_POSED, 0.5, 0.0))
     @example(case=(SEPARABLE_X, SEPARABLE_Y, 0.0, 0.0))
     @example(case=(*SATURATING, 0.0, 0.0))
+    @example(
+        case=(
+            np.column_stack([np.ones(30), np.linspace(-2.0, 2.0, 30)]),
+            (np.linspace(-2.0, 2.0, 30) > 0).astype(float),
+            0.0,
+            0.0,
+        )
+    )
     def test_reported_figures_hold_at_the_coefficients(self, case):
         X, y, l2, tol = case
-        fit = fit_logistic(X, y, l2, tol=tol)
-        grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
-        if fit.covariance is not None:
-            inv = np.linalg.inv(-hess)
-            np.testing.assert_array_equal(fit.covariance, (inv + inv.T) / 2.0)
-        assert fit.log_likelihood == log_likelihood(fit.coeffs, X, y)
-        assert fit.iterations <= DEFAULT_MAX_ITER
-        if not any("separation" in d for d in fit.diagnostics):
-            assert fit.converged == (np.max(np.abs(grad)) < tol)
+        for block_rows in (glm._BLOCK_ROWS, SMALL_BLOCK):
+            with mock.patch.object(glm, "_BLOCK_ROWS", block_rows):
+                fit = fit_logistic(X, y, l2, tol=tol)
+                grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
+                ll = log_likelihood(fit.coeffs, X, y)
+            if fit.covariance is not None:
+                inv = np.linalg.inv(-hess)
+                np.testing.assert_array_equal(fit.covariance, (inv + inv.T) / 2.0)
+            assert fit.log_likelihood == ll
+            assert fit.iterations <= DEFAULT_MAX_ITER
+            if not any("separation" in d for d in fit.diagnostics):
+                assert fit.converged == (np.max(np.abs(grad)) < tol)
 
     def test_each_exit_is_reached(self):
         X, y = WELL_POSED
@@ -342,11 +373,6 @@ class TestExitPaths:
         assert stalled.iterations == 48 and not stalled.converged
 
 
-# rows per block while testing the blocked pass, so designs of up to 60 rows
-# span one to nine blocks, the last one partial
-SMALL_BLOCK = 7
-
-
 @st.composite
 def pass_points(draw):
     """A design of 1-60 rows with an intercept column, 0/1 responses,
@@ -363,8 +389,7 @@ def pass_points(draw):
 
 class TestBlockedPass:
     """The likelihood pass reads the rows in blocks; with a small block size
-    every figure it reports matches the one-shot formulas, and a fit keeps
-    the exit contract of TestExitPaths."""
+    every figure it reports matches the one-shot formulas."""
 
     @settings(max_examples=300)
     @given(point=pass_points())
@@ -388,32 +413,6 @@ class TestBlockedPass:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * grad_scale.max())
         hess_scale = (np.abs(X).T * (mu * (1.0 - mu))) @ np.abs(X) + l2
         np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * hess_scale.max())
-
-    @settings(max_examples=200)
-    @given(case=small_fits(max_rows=60))
-    # converged, and a separated design of 30 rows with no tolerance
-    @example(case=(*WELL_POSED, 0.0, DEFAULT_TOL))
-    @example(
-        case=(
-            np.column_stack([np.ones(30), np.linspace(-2.0, 2.0, 30)]),
-            (np.linspace(-2.0, 2.0, 30) > 0).astype(float),
-            0.0,
-            0.0,
-        )
-    )
-    def test_exit_contract_holds_across_blocks(self, case):
-        X, y, l2, tol = case
-        with mock.patch.object(glm, "_BLOCK_ROWS", SMALL_BLOCK):
-            fit = fit_logistic(X, y, l2, tol=tol)
-            grad, hess = gradient_and_hessian(fit.coeffs, X, y, l2)
-            ll = log_likelihood(fit.coeffs, X, y)
-        if fit.covariance is not None:
-            inv = np.linalg.inv(-hess)
-            np.testing.assert_array_equal(fit.covariance, (inv + inv.T) / 2.0)
-        assert fit.log_likelihood == ll
-        assert fit.iterations <= DEFAULT_MAX_ITER
-        if not any("separation" in d for d in fit.diagnostics):
-            assert fit.converged == (np.max(np.abs(grad)) < tol)
 
 
 class TestPredictProb:
