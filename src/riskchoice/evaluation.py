@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InputError, UndefinedMetricError
 from .scenario import ScenarioArrays
@@ -50,6 +49,7 @@ def auc(scores, y) -> float:
     """Area under the ROC curve via the Mann-Whitney rank statistic.
 
     Midranks handle ties, so a tied positive/negative pair contributes 1/2.
+    Any NaN score makes the AUC NaN.
 
     Raises
     ------
@@ -65,6 +65,23 @@ def auc(scores, y) -> float:
     n_neg = int(scores.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined: only one class present")
-    ranks = rankdata(scores)
-    rank_sum_pos = float(np.sum(ranks[pos]))
+    if np.isnan(scores).any():
+        return float("nan")
+    rank_sum_pos = float(np.sum(midranks(scores)[pos]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def midranks(scores) -> np.ndarray:
+    """Ranks 1..n of the scores in ascending order, each group of equal
+    scores sharing the mean of its ranks; -0.0 equals 0.0."""
+    scores = np.asarray(scores, dtype=float)
+    n = scores.shape[0]
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # tie groups are the runs of equal values in sorted order; the group
+    # holding sorted positions start..end-1 has mean rank (start + 1 + end) / 2
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks

@@ -110,20 +110,30 @@ def cramers_v(x, y) -> float:
     y = np.asarray(y)
     if x.ndim != 1 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise InputError("x and y must be equal-length vectors")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise InputError("need at least 2 observations")
+    return _cramers_v(x, _levels(y))
 
-    x_levels, y_levels = np.unique(x), np.unique(y)
+
+def _levels(v) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of v in sorted order and each element's index
+    among them; searchsorted orders NaN last and -0.0 with 0.0, as unique
+    does."""
+    levels = np.unique(v)
+    return levels, np.searchsorted(levels, v)
+
+
+def _cramers_v(x, y_coded: tuple[np.ndarray, np.ndarray]) -> float:
+    """cramers_v of x against an outcome given by its _levels."""
+    n = x.shape[0]
+    (x_levels, x_index), (y_levels, y_index) = _levels(x), y_coded
     r, c = x_levels.shape[0], y_levels.shape[0]
     if r < 2:
         raise UndefinedEffectSizeError("x is constant; Cramér's V is undefined")
     if c < 2:
         raise UndefinedEffectSizeError("y is constant; Cramér's V is undefined")
 
-    # each value's level index; searchsorted orders NaN last and -0.0 with
-    # 0.0, as unique does
-    cell = np.searchsorted(x_levels, x) * c + np.searchsorted(y_levels, y)
+    cell = x_index * c + y_index
     observed = np.bincount(cell, minlength=r * c).reshape(r, c).astype(float)
     row_tot = observed.sum(axis=1, keepdims=True)
     col_tot = observed.sum(axis=0, keepdims=True)
@@ -215,16 +225,18 @@ def select_features(
     if len(arrays) < 2:
         raise InputError("need at least 2 scenarios to screen features")
     y = arrays.choice
+    # the outcome's levels, sorted once for every categorical candidate
+    y_coded = _levels(y)
 
     entries = []
     for name, kind in CANDIDATE_KINDS.items():
         col = _COLUMN_BUILDERS[name](arrays)
         if kind == "categorical":
-            metric, threshold, score = "cramers_v", tau_v, cramers_v
+            metric, threshold = "cramers_v", tau_v
         else:
-            metric, threshold, score = "eta_squared", tau_eta, eta_squared
+            metric, threshold = "eta_squared", tau_eta
         try:
-            value = score(col, y)
+            value = _cramers_v(col, y_coded) if kind == "categorical" else eta_squared(col, y)
         except UndefinedEffectSizeError as exc:
             log.warning("dropping feature %r: %s", name, exc)
             entries.append(EffectSizeEntry(name, metric, None, threshold, False))

@@ -38,16 +38,20 @@ _BLOCK_ROWS = 1 << 13
 sigmoid = expit
 
 
-def softplus_sum(s) -> tuple[float, np.ndarray]:
+def softplus_sum(s, e=None, work=None) -> tuple[float, np.ndarray]:
     """Sum of log(1 + exp(s)) over the signed latents s, which is the negative
     Bernoulli-logit log-likelihood when s is (1 - 2y) times the latent score;
     also returns e = exp(-|s|) for reuse. Evaluated in the overflow-free form
-    max(s, 0) + log1p(exp(-|s|)).
+    max(s, 0) + log1p(exp(-|s|)). When given, ``e`` and ``work`` are arrays
+    shaped like s that receive e and intermediate values, so the call
+    allocates no array of that size.
     """
-    e = np.abs(s)
+    e = np.abs(s, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    return float(np.sum(np.maximum(s, 0.0)) + np.sum(np.log1p(e))), e
+    work = np.maximum(s, 0.0, out=work)
+    total = np.sum(work)
+    return float(total + np.sum(np.log1p(e, out=work))), e
 
 
 def _check_inputs(X, y, l2_strength=0.0, coeffs=None):

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 import riskchoice
 from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
@@ -327,12 +326,12 @@ class TestExperiment:
         assert fit["information_singular"] is True
 
     def test_non_finite_cpt_optimum_is_numerical_error(self, tmp_path, monkeypatch):
-        def diverged(fun, x0, **kwargs):
-            x = np.array(x0, dtype=float)
-            x[2] = 1e4  # lambda = exp(1e4) overflows to inf
-            return OptimizeResult(x=x, fun=0.5, success=True, nfev=1)
+        def diverged(prep, t0, gamma_max):
+            t = np.array(t0, dtype=float)
+            t[2] = 1e4  # lambda = exp(1e4) overflows to inf
+            return t, 0.5, True, 1
 
-        monkeypatch.setattr(cpt, "minimize", diverged)
+        monkeypatch.setattr(cpt, "_newton", diverged)
         code = run_cli(
             "experiment", "--n", "300", "--restarts", "2", "--no-svg", "--out", str(tmp_path)
         )
@@ -409,21 +408,61 @@ class TestUsage:
         assert _config(build_parser().parse_args(["experiment"]), {}) == ExperimentConfig()
 
 
-def test_module_entry_point(tmp_path):
-    # the package runs as a subprocess through the module entry, importing
-    # the copy of the package that this test imported
+def package_env() -> dict:
+    """Environment for a subprocess that imports the copy of the package
+    that this test imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(riskchoice.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "riskchoice.cli", "generate", "--n", "5", "--seed", "1",
          "--out", str(tmp_path)],
-        env=env,
+        env=package_env(),
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0
     assert (tmp_path / "dataset.csv").exists()
     assert result.stdout == ""  # data goes to files, diagnostics to stderr
+
+
+def test_package_runs_as_a_module(tmp_path):
+    ok = subprocess.run(
+        [sys.executable, "-m", "riskchoice", "generate", "--n", "5", "--seed", "1",
+         "--out", str(tmp_path)],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert ok.returncode == 0
+    assert (tmp_path / "dataset.csv").read_bytes() == (
+        generate_and_read(tmp_path / "again", 5, 1)
+    )
+    # the exit code of a failed command reaches the shell
+    missing = subprocess.run(
+        [sys.executable, "-m", "riskchoice", "experiment", "--config",
+         str(tmp_path / "nope.json")],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert missing.returncode == 1
+    assert "error" in missing.stderr
+
+
+def generate_and_read(out, n, seed) -> bytes:
+    assert run_cli("generate", "--n", str(n), "--seed", str(seed), "--out", str(out)) == 0
+    return (out / "dataset.csv").read_bytes()
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riskchoice, riskchoice.cli; "
+         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
 from riskchoice import (
     CptParams,
@@ -17,15 +17,17 @@ from riskchoice import (
     sample_weight_curve,
 )
 from riskchoice.cpt import (
+    _T_HELD,
     PARAM_NAMES,
     _from_unconstrained,
     _Prepared,
     _to_unconstrained,
+    _trust_region_step,
     _upper_bounds,
     value_array,
     weight_array,
 )
-from riskchoice.scenario import ScenarioArrays
+from riskchoice.scenario import GeneratorConfig, ScenarioArrays, as_arrays, generate_dataset
 
 IDENTITY = CptParams(alpha=1.0, beta=1.0, lam=1.0, gamma=1.0, eta=1.0)
 CURVED = CptParams(alpha=0.20, beta=0.77, lam=0.71, gamma=2.00, eta=0.20)
@@ -240,24 +242,63 @@ interior_params = st.tuples(
 )
 
 
+def central_differences(f, theta, rel_step=1e-5):
+    """Central differences of f (scalar- or vector-valued) at theta, one
+    column per coordinate."""
+    cols = []
+    for j in range(theta.shape[0]):
+        step = np.zeros_like(theta)
+        step[j] = rel_step * max(1.0, abs(theta[j]))
+        cols.append((np.asarray(f(theta + step)) - np.asarray(f(theta - step))) / (2.0 * step[j]))
+    return np.stack(cols, axis=-1)
+
+
 class TestGradient:
     @settings(max_examples=60)
     @given(theta=interior_params, data=st.sampled_from(sorted(GRADIENT_DATA)))
     def test_matches_central_differences(self, theta, data):
         prep = GRADIENT_DATA[data]
         theta = np.array(theta)
-        value, grad = prep.value_and_grad(theta)
+        value, grad, _ = prep.derivatives(theta)
         assert value == prep.neg_mean_ll(theta)
-        fd = np.empty(5)
-        for j in range(5):
-            step = np.zeros(5)
-            step[j] = 1e-5 * max(1.0, abs(theta[j]))
-            fd[j] = (prep.neg_mean_ll(theta + step) - prep.neg_mean_ll(theta - step)) / (
-                2.0 * step[j]
-            )
+        fd = central_differences(prep.neg_mean_ll, theta)
         assert np.linalg.norm(grad - fd) < 1e-6 * np.linalg.norm(grad)
         if data == "gain_only":
             assert grad[1] == 0.0 and grad[2] == 0.0
+
+    @settings(max_examples=60)
+    @given(theta=interior_params, data=st.sampled_from(sorted(GRADIENT_DATA)))
+    def test_hessian_matches_central_differences_of_the_gradient(self, theta, data):
+        prep = GRADIENT_DATA[data]
+        theta = np.array(theta)
+        _, _, hess = prep.derivatives(theta)
+        np.testing.assert_array_equal(hess, hess.T)
+        fd = central_differences(lambda th: prep.derivatives(th)[1], theta)
+        assert np.linalg.norm(hess - fd) < 1e-6 * np.linalg.norm(hess)
+        if data == "gain_only":
+            # the loss branch is never evaluated: its rows are exactly zero
+            assert not np.any(hess[1:3]) and not np.any(hess[:, 1:3])
+            assert prep.identified.tolist() == [True, False, False, True, True]
+        else:
+            assert prep.identified.all()
+
+    def test_pass_allocates_no_row_length_array(self):
+        prep = _Prepared(simulate(TRUE, 20_000, seed=15, mixed_sign=True))
+        theta = np.array(TRUE.as_tuple())
+        first = prep.derivatives(theta)
+        tracemalloc.start()
+        try:
+            again = prep.derivatives(theta)
+            prep.neg_mean_ll(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # less than one float per row of the smallest block: no temporary of
+        # a block's length, let alone of n rows
+        assert peak < 8 * min(rows.stop - rows.start for rows, _, _ in prep.blocks)
+        assert first[0] == again[0]
+        np.testing.assert_array_equal(first[1], again[1])
+        np.testing.assert_array_equal(first[2], again[2])
 
     def test_blocks_are_contiguous_by_sign(self):
         assert [b[1:] for b in GRADIENT_DATA["gain_only"].blocks] == [(1, 1)]
@@ -278,30 +319,65 @@ class TestBoxTable:
     )
     def test_round_trip(self, u, positive, gamma_max):
         theta = np.array([u[0], u[1], positive[0], u[2] * gamma_max, positive[1]])
-        back, _ = _from_unconstrained(_to_unconstrained(theta, gamma_max), gamma_max)
+        back, _, _ = _from_unconstrained(_to_unconstrained(theta, gamma_max), gamma_max)
         np.testing.assert_allclose(back, theta, rtol=1e-12)
 
     @settings(max_examples=200)
     @given(t=st.tuples(*[st.floats(-8.0, 8.0)] * 5), gamma_max=st.floats(0.5, 10.0))
     def test_jacobian_matches_central_differences(self, t, gamma_max):
         t = np.array(t)
-        _, jac = _from_unconstrained(t, gamma_max)
+        _, jac, curv = _from_unconstrained(t, gamma_max)
         h = 1e-6
         for j in range(5):
             step = np.zeros(5)
             step[j] = h
-            plus, _ = _from_unconstrained(t + step, gamma_max)
-            minus, _ = _from_unconstrained(t - step, gamma_max)
+            plus, jac_plus, _ = _from_unconstrained(t + step, gamma_max)
+            minus, jac_minus, _ = _from_unconstrained(t - step, gamma_max)
             assert jac[j] == pytest.approx((plus[j] - minus[j]) / (2.0 * h), rel=1e-5)
+            assert curv[j] == pytest.approx(
+                (jac_plus[j] - jac_minus[j]) / (2.0 * h), rel=1e-5, abs=1e-9
+            )
 
     @given(t=st.tuples(*[st.floats(-40.0, 40.0)] * 5), gamma_max=st.floats(0.5, 10.0))
     def test_stays_inside_the_box_where_expit_saturates(self, t, gamma_max):
-        theta, jac = _from_unconstrained(np.array(t), gamma_max)
+        theta, jac, curv = _from_unconstrained(np.array(t), gamma_max)
         for v, hi in zip(theta, _upper_bounds(gamma_max)):
             assert 0.0 < v < math.inf
             assert hi is None or v <= hi
         assert np.all(np.isfinite(jac)) and np.all(jac > 0.0)
+        assert np.all(np.isfinite(curv))
         assert CptParams(*theta).gamma <= gamma_max
+
+    def test_held_coordinate_sits_exactly_on_its_bound(self):
+        t = np.full(5, _T_HELD)
+        theta, _, _ = _from_unconstrained(t, 3.0)
+        assert theta[0] == theta[1] == 1.0 and theta[3] == 3.0
+        assert theta[2] == theta[4] == math.exp(_T_HELD)
+
+    def test_overflow_maps_to_infinity_and_underflow_to_zero(self):
+        theta, jac, _ = _from_unconstrained(np.array([0.0, 0.0, 1e4, -1e4, 1e4]), 2.0)
+        assert theta[2] == theta[4] == math.inf
+        assert theta[3] == jac[3] == 0.0
+
+
+class TestTrustRegionStep:
+    @settings(max_examples=200)
+    @given(
+        eig=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+        proj=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+        radius=st.floats(1e-3, 1e3),
+    )
+    def test_stays_inside_and_descends(self, eig, proj, radius):
+        eig = np.sort(np.array(eig))
+        proj = np.array(proj[: eig.size])
+        step = _trust_region_step(eig, proj, radius)
+        assert np.all(np.isfinite(step))
+        assert math.sqrt(step @ step) <= radius * (1.0 + 1e-3)
+        # the quadratic model does not rise
+        assert proj @ step + 0.5 * (eig * step) @ step <= 0.0
+        with np.errstate(over="ignore"):
+            if eig[0] > 0.0 and np.linalg.norm(proj / eig) <= radius:
+                np.testing.assert_array_equal(step, -proj / eig)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +418,35 @@ class TestFit:
         assert ses["beta"] is None
         assert ses["lambda"] is None
         assert fit.information_singular
+        # beta and lambda never leave their start draws
+        best = max(fit.restart_log, key=lambda r: r.log_likelihood)
+        assert (fit.params.beta, fit.params.lam) == pytest.approx(best.start[1:3], rel=1e-12)
+
+    def test_gain_only_alpha_is_held_exactly_on_its_bound(self):
+        # this data prefers alpha > 1, so every restart ends on the bound
+        arrays = as_arrays(generate_dataset(GeneratorConfig(n=2000, seed=42)))
+        fit = fit_cpt(arrays, n_restarts=4, seed=3)
+        assert fit.params.alpha == 1.0
+        assert fit.unconstrained_optimum[0] == _T_HELD
+        assert all(r.converged for r in fit.restart_log)
+        # the unconstrained objective is flat in alpha there, so the optimum
+        # is stationary in every coordinate, as acceptance check C4 demands
+        prep = _Prepared(arrays)
+
+        def objective(t):
+            return prep.neg_mean_ll(_from_unconstrained(t, fit.gamma_max)[0])
+
+        z0 = fit.unconstrained_optimum
+        grad = central_differences(objective, z0, rel_step=1e-6)
+        assert grad[0] == 0.0
+        assert np.max(np.abs(grad)) < 1e-7
+
+    def test_converged_restarts_agree_on_interior_data(self, mixed_fit):
+        fit, _ = mixed_fit
+        assert all(r.converged for r in fit.restart_log)
+        assert all(r.n_evals < 60 for r in fit.restart_log)
+        lls = [r.log_likelihood for r in fit.restart_log]
+        assert max(lls) - min(lls) < 1e-9 * abs(max(lls))
 
     def test_mixed_sign_data_identifies_everything(self, mixed_fit):
         fit, _ = mixed_fit
@@ -363,13 +468,13 @@ class TestFit:
     def test_exact_tie_goes_to_the_lowest_restart(self, monkeypatch):
         starts = []
 
-        def same_optimum(fun, x0, **kwargs):
+        def same_optimum(prep, t0, gamma_max):
             # every restart ends at the same value, at its own start point;
             # only the first reports failure
-            starts.append(np.array(x0))
-            return OptimizeResult(x=np.array(x0), fun=0.6, success=len(starts) > 1, nfev=1)
+            starts.append(np.array(t0))
+            return np.array(t0), 0.6, len(starts) > 1, 1
 
-        monkeypatch.setattr(cpt, "minimize", same_optimum)
+        monkeypatch.setattr(cpt, "_newton", same_optimum)
         arrays = simulate(TRUE, 300, seed=9, mixed_sign=True)
         fit = fit_cpt(arrays, n_restarts=4, seed=3)
         first = fit.restart_log[0]

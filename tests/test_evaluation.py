@@ -2,6 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from riskchoice import (
     GeneratorConfig,
@@ -13,7 +16,11 @@ from riskchoice import (
     generate_dataset,
     split,
 )
+from riskchoice.evaluation import midranks
 from riskchoice.pipeline import MODEL_KEYS, MODELS
+
+# few distinct values, so ties are common; with both zeros and both infinities
+TIE_POOL = [-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 0.5, 0.5000000000000001, 3.0, np.inf]
 
 
 def brute_force_auc(scores, y):
@@ -111,6 +118,32 @@ class TestAuc:
         y = rng.integers(0, 2, 60)
         y[:2] = [0, 1]
         assert auc(np.exp(3 * scores), y) == pytest.approx(auc(scores, y), abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(
+        scores=st.lists(
+            st.sampled_from(TIE_POOL) | st.floats(-10.0, 10.0), min_size=1, max_size=60
+        ),
+        data=st.data(),
+    )
+    def test_midranks_match_rankdata(self, scores, data):
+        scores = np.array(scores)
+        np.testing.assert_array_equal(midranks(scores), rankdata(scores))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                        max_size=len(scores))))
+        n_pos = int(y.sum())
+        if 0 < n_pos < len(y):
+            ranks = rankdata(scores)
+            expected = (float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0) / (
+                n_pos * (len(y) - n_pos)
+            )
+            assert auc(scores, y) == expected
+            assert auc(scores, y) == pytest.approx(brute_force_auc(scores, y), abs=1e-12)
+
+    def test_nan_score_gives_nan_auc(self):
+        y = np.array([0, 1, 0, 1])
+        assert np.isnan(auc(np.array([0.1, np.nan, 0.3, 0.9]), y))
+        assert np.isnan(auc(np.array([np.nan] * 4), y))
 
     def test_complement_symmetry_without_ties(self):
         rng = np.random.Generator(np.random.PCG64(22))

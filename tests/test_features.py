@@ -16,6 +16,7 @@ from riskchoice import (
     select_features,
 )
 from riskchoice.features import (
+    _COLUMN_BUILDERS,
     CANDIDATE_KINDS,
     DEFAULT_TAU_V,
     RAW_NAMES,
@@ -93,6 +94,20 @@ class TestFeatureMaps:
 
 
 class TestCramersV:
+    def test_screening_scores_equal_the_public_functions(self):
+        # select_features sorts the outcome once for every candidate; each
+        # verdict must equal scoring that candidate on its own
+        data = generate_dataset(GeneratorConfig(n=3000, seed=5))
+        report = select_features(data)
+        for entry in report.entries:
+            col = _COLUMN_BUILDERS[entry.name](data)
+            score = cramers_v if entry.metric == "cramers_v" else eta_squared
+            try:
+                expected = score(col, data.choice)
+            except UndefinedEffectSizeError:
+                expected = None
+            assert entry.value == expected
+
     def test_perfect_association_is_one(self):
         x = np.array([0, 0, 1, 1, 0, 1, 1, 0])
         assert cramers_v(x, x) == pytest.approx(1.0, abs=1e-15)
