@@ -509,8 +509,9 @@ def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[np.ndarray, float, b
     Coordinates outside ``prep.identified`` stay at their start. A
     box-bounded coordinate near its upper bound whose gradient points out of
     the box is held exactly on the bound when that does not raise the
-    objective, and released when its gradient turns inward (as in projected
-    Newton, Bertsekas 1982). The free coordinates step along
+    objective and the gradient on the bound still points out of the box, and
+    released when its gradient turns inward (as in projected Newton,
+    Bertsekas 1982). The free coordinates step along
     -(H_t + mu I)^-1 g_t, where g_t = J g and H_t = J H J + diag(g theta'')
     are the gradient and Hessian in t, with the smallest mu >= 0 that keeps
     the step inside the trust region (Nocedal & Wright, Numerical
@@ -520,32 +521,41 @@ def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[np.ndarray, float, b
     taken, which near the optimum squares the remaining error, and kept if
     it does not raise the objective.
     """
-    # (coordinate, the value above which it is near its upper bound)
-    bounded = [(i, (1.0 - _BOUND_REL) * hi) for i, hi in enumerate(_upper_bounds(gamma_max))
-               if hi is not None and prep.identified[i]]
+    upper = np.array([math.inf if hi is None else hi for hi in _upper_bounds(gamma_max)])
+    bounded = [i for i in range(5) if math.isfinite(upper[i]) and prep.identified[i]]
+    # distance below its upper bound from which a coordinate is tried on it;
+    # after a failed try or a release, half the distance it was at, so a
+    # coordinate whose optimum lies just inside the box is tried only as
+    # often as it closes in on the bound
+    gap = _BOUND_REL * upper
     held = np.zeros(5, dtype=bool)
     point = _evaluate(prep, np.array(t0, dtype=float), gamma_max)
     passes = 1
     radius = _RADIUS_START
     while passes < _MAX_PASSES and math.isfinite(point.value):
         theta, grad = point.theta.tolist(), point.grad.tolist()
-        onto = [i for i, near in bounded if not held[i] and theta[i] > near and grad[i] < 0.0]
+        onto = [i for i in bounded
+                if not held[i] and upper[i] - theta[i] < gap[i] and grad[i] < 0.0]
         if onto:
             t = point.t.copy()
             t[onto] = _T_HELD
             trial = _evaluate(prep, t, gamma_max)
             passes += 1
-            if trial.value <= point.value:
+            # the bound must not raise the objective and must be a KKT point:
+            # there the gradient still points out of the box
+            if trial.value <= point.value and np.all(trial.grad[onto] < 0.0):
                 point = trial
                 held[onto] = True
                 continue
-        off = [i for i, _ in bounded if held[i] and grad[i] > 0.0]
+            gap[onto] = 0.5 * (upper[onto] - point.theta[onto])
+        off = [i for i in bounded if held[i] and grad[i] > 0.0]
         if off:
             t = point.t.copy()
             t[off] = _T_RELEASED
             point = _evaluate(prep, t, gamma_max)
             passes += 1
             held[off] = False
+            gap[off] = 0.5 * (upper[off] - point.theta[off])
             continue
 
         free = np.flatnonzero(prep.identified & ~held)

@@ -15,6 +15,7 @@ from riskchoice import (
     fit_cpt,
     sample_value_curve,
     sample_weight_curve,
+    split,
 )
 from riskchoice.cpt import (
     _T_HELD,
@@ -440,6 +441,46 @@ class TestFit:
         grad = central_differences(objective, z0, rel_step=1e-6)
         assert grad[0] == 0.0
         assert np.max(np.abs(grad)) < 1e-7
+
+    def test_optimum_just_inside_a_bound_is_not_held_on_it(self, mixed_fit, monkeypatch):
+        # with gamma's bound 5e-5 relative above its optimum, the bound
+        # lowers the objective from a point short of the optimum but is not a
+        # KKT point: the gradient there points back into the box
+        fit, arrays = mixed_fit
+        gamma_hat = fit.params.gamma
+        tries = []
+        evaluate = cpt._evaluate
+
+        def counting(prep, t, gamma_max):
+            if t[3] == _T_HELD:
+                tries.append(t)
+            return evaluate(prep, t, gamma_max)
+
+        monkeypatch.setattr(cpt, "_evaluate", counting)
+        tight = fit_cpt(arrays, n_restarts=5, seed=11, gamma_max=gamma_hat * (1.0 + 5e-5))
+        assert all(r.converged for r in tight.restart_log)
+        # a rejected hold is retried only once the coordinate has halved its
+        # distance to the bound: from 1e-3 to 5e-5 relative takes 5 halvings
+        assert 0 < len(tries) <= 5 * 5
+        assert tight.params.gamma < tight.gamma_max
+        assert tight.params.gamma == pytest.approx(gamma_hat, rel=1e-6)
+        assert tight.log_likelihood == pytest.approx(fit.log_likelihood, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "data_seed, parent_ll, gamma",
+        [(2000003, -2549.384712853129, 4.2553), (69, -2531.148947756171, 5.0)],
+    )
+    def test_reaches_the_better_of_two_optima(self, data_seed, parent_ll, gamma):
+        # gamma's profile likelihood on these gain-only datasets has a local
+        # optimum near 1.4-1.8 and the global one at a larger gamma, behind a
+        # ridge that every start draw (gamma <= 2) lies below; few restarts
+        # cross it (5 and 1 of 20). parent_ll is the optimum L-BFGS-B found
+        # from the same start draws.
+        data = as_arrays(generate_dataset(GeneratorConfig(n=5000, seed=data_seed)))
+        arrays, _ = split(data, 0.8, 0)
+        fit = fit_cpt(arrays, n_restarts=20, seed=7)
+        assert fit.log_likelihood >= parent_ll * (1.0 + 1e-9)
+        assert fit.params.gamma == pytest.approx(gamma, rel=1e-4)
 
     def test_converged_restarts_agree_on_interior_data(self, mixed_fit):
         fit, _ = mixed_fit
