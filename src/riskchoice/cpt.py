@@ -29,10 +29,9 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import EstimationError, InputError
-from .glm import softplus_sum
+from .glm import sigmoid, softplus_sum
 from .scenario import ScenarioArrays
 
 PARAM_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
@@ -56,7 +55,7 @@ _MAX_PASSES = 200
 # theta = bound * (1 - exp(-t)) to first order.
 _BOUND_REL = 1e-3
 
-# t of a coordinate held on its upper bound (expit(t) == 1.0 exactly from
+# t of a coordinate held on its upper bound (sigmoid(t) == 1.0 exactly from
 # t = 37 on), and t where a released coordinate restarts, _BOUND_REL below it
 _T_HELD = 40.0
 _T_RELEASED = math.log((1.0 - _BOUND_REL) / _BOUND_REL)
@@ -127,10 +126,10 @@ def weight_array(p, params: CptParams) -> np.ndarray:
 
 
 def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
-    """P(risky) = expit(eta * (w(p) v(R) - v(S))) for every scenario."""
+    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S))) for every scenario."""
     u_risky = weight_array(arrays.p, params) * value_array(arrays.risky, params)
     u_safe = value_array(arrays.safe, params)
-    return expit(params.eta * (u_risky - u_safe))
+    return sigmoid(params.eta * (u_risky - u_safe))
 
 
 def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
@@ -256,7 +255,7 @@ class _Prepared:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             self._latent(theta)
             total, e = softplus_sum(self._signed, self._e, aux)
-            # rho = sign * expit(signed) and h = expit (1 - expit), from e
+            # rho = sign * sigmoid(signed) and h = sigmoid (1 - sigmoid), from e
             np.add(e, 1.0, out=aux)
             np.reciprocal(aux, out=aux)
             np.multiply(e, aux, out=h)
@@ -363,16 +362,31 @@ def _branch_value(sign: int, log_abs, alpha, beta, lam, out, log_weight=None) ->
 def _upper_bounds(gamma_max: float) -> tuple[float | None, ...]:
     """The fit's box, one entry per coordinate in PARAM_NAMES order.
 
-    A coordinate with an upper bound (alpha, beta, gamma) is bound * expit(t)
+    A coordinate with an upper bound (alpha, beta, gamma) is bound * sigmoid(t)
     of its unconstrained coordinate t; one without (None: lambda, eta) is
     exp(t).
     """
     return (1.0, 1.0, None, gamma_max, None)
 
 
+def _start_box(gamma_max: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Lower and upper corners of the box that restart start points are
+    drawn from, in PARAM_NAMES order."""
+    gamma_hi = min(2.0, gamma_max)
+    gamma_lo = min(0.2, gamma_hi / 2.0)
+    return (0.2, 0.2, 0.5, gamma_lo, 0.01), (1.0, 1.0, 3.0, gamma_hi, 1.0)
+
+
+def _logit(x: float) -> float:
+    """log(x / (1 - x)) for x in [0, 1], with -inf at 0 and inf at 1."""
+    if x == 0.0 or x == 1.0:
+        return math.copysign(math.inf, x - 0.5)
+    return math.log(x / (1.0 - x))
+
+
 def _to_unconstrained(theta, gamma_max: float) -> np.ndarray:
     bounds = _upper_bounds(gamma_max)
-    return np.array([np.log(v) if hi is None else logit(v / hi) for v, hi in zip(theta, bounds)])
+    return np.array([np.log(v) if hi is None else _logit(v / hi) for v, hi in zip(theta, bounds)])
 
 
 def _from_unconstrained(t, gamma_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,7 +400,7 @@ def _from_unconstrained(t, gamma_max: float) -> tuple[np.ndarray, np.ndarray, np
             jac.append(v)
             curv.append(v)
         else:
-            # up = expit(t) and down = expit(-t), without overflow
+            # up = sigmoid(t) and down = sigmoid(-t), without overflow
             z = math.exp(-abs(ti))
             big, small = 1.0 / (1.0 + z), z / (1.0 + z)
             up, down = (big, small) if ti >= 0.0 else (small, big)
@@ -649,10 +663,7 @@ def fit_cpt(
 
     prep = _Prepared(arrays)
     restart_seeds = np.random.SeedSequence(seed).generate_state(n_restarts)
-    gamma_hi = min(2.0, gamma_max)
-    gamma_lo = min(0.2, gamma_hi / 2.0)
-    start_lo = (0.2, 0.2, 0.5, gamma_lo, 0.01)
-    start_hi = (1.0, 1.0, 3.0, gamma_hi, 1.0)
+    start_lo, start_hi = _start_box(gamma_max)
 
     records: list[RestartRecord] = []
     optima: list[np.ndarray] = []  # end points in unconstrained coordinates

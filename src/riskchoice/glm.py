@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError, NumericalError
 
@@ -33,9 +32,16 @@ DEFAULT_MAX_ITER = 100
 _BLOCK_ROWS = 1 << 13
 
 
-# The logistic link 1/(1+exp(-z)) of every model family; exact and
-# overflow-free for any finite z. Returns a float for scalar input.
-sigmoid = expit
+def sigmoid(z):
+    """The logistic link 1 / (1 + exp(-z)) of every model family, elementwise.
+
+    The same formula as scipy's ``expit``, in numpy alone. exp(-z) overflows
+    to inf for z below about -709.78, which gives 0.0, and results below
+    about 2.2e-308 are subnormal; neither warns. +inf gives 1.0, -inf gives
+    0.0 and NaN gives NaN. Returns a float for scalar input.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def softplus_sum(s, e=None, work=None) -> tuple[float, np.ndarray]:

@@ -466,3 +466,14 @@ def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_module():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riskchoice, riskchoice.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

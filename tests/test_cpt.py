@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logit
 
 from riskchoice import (
     CptParams,
@@ -22,6 +23,7 @@ from riskchoice.cpt import (
     PARAM_NAMES,
     _from_unconstrained,
     _Prepared,
+    _start_box,
     _to_unconstrained,
     _trust_region_step,
     _upper_bounds,
@@ -311,7 +313,47 @@ class TestGradient:
         assert len(set(pairs)) == len(pairs) == 9
 
 
+@st.composite
+def start_points(draw):
+    """A restart start point from the fit's start box, with its gamma_max."""
+    gamma_max = draw(st.floats(0.5, 100.0))
+    lo, hi = _start_box(gamma_max)
+    theta = [draw(st.floats(a, b, exclude_max=True)) for a, b in zip(lo, hi)]
+    return np.array(theta), gamma_max
+
+
 class TestBoxTable:
+    # Inside (0.3, 0.65) scipy's logit uses a log1p form accurate relative to
+    # its small result, while log(x / (1 - x)) is accurate to a few ULP of 1
+    # there. That suffices: bound * sigmoid(t) moves by at most bound / 4
+    # per unit of t, so the round trip still returns theta within a few ULP.
+    @settings(max_examples=300)
+    @given(point=start_points())
+    @example(point=(np.array([0.5, 0.5 + 2.0**-53, 0.5, 1.0 - 2.0**-53, 0.01]), 2.0))
+    @example(point=(np.array([0.2, 0.3, 2.0, 0.2, 0.5]), 100.0))
+    def test_start_transform_matches_scipy_logit(self, point):
+        theta, gamma_max = point
+        t = _to_unconstrained(theta, gamma_max)
+        for ti, v, hi in zip(t, theta, _upper_bounds(gamma_max)):
+            if hi is None:
+                assert ti == np.log(v)
+                continue
+            x = v / hi
+            reference = float(logit(x))
+            scale = abs(reference) if x < 0.3 or x > 0.65 else max(abs(reference), 1.0)
+            assert abs(ti - reference) <= 4 * np.spacing(scale)
+        back, _, _ = _from_unconstrained(t, gamma_max)
+        assert np.all(np.abs(back - theta) <= 8 * np.spacing(theta))
+
+    def test_start_transform_at_the_ends_of_the_box(self):
+        theta = np.array([1.0, 0.0, 2.0, 3.0, 0.5])
+        t = _to_unconstrained(theta, 3.0)
+        assert t[0] == t[3] == math.inf and t[1] == -math.inf
+        assert t[[0, 1, 3]].tolist() == logit([1.0, 0.0, 1.0]).tolist()
+        back, _, _ = _from_unconstrained(t, 3.0)
+        assert back[0] == 1.0 and back[1] == 0.0 and back[3] == 3.0
+
+
     @settings(max_examples=200)
     @given(
         u=st.tuples(*[st.floats(1e-6, 1.0 - 1e-6)] * 3),

@@ -1,10 +1,12 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from riskchoice import InputError, NumericalError, fit_logistic, glm, log_likelihood, sigmoid
 from riskchoice.glm import DEFAULT_MAX_ITER, DEFAULT_TOL, gradient_and_hessian, softplus_sum
@@ -31,12 +33,52 @@ class TestSigmoid:
             assert sigmoid(-500.0) == pytest.approx(0.0, abs=1e-200)
             assert sigmoid(700.0) == 1.0
 
+    # 4 ULP, not 2: np.exp and scipy's exp differ by 1 ULP on about 2% of
+    # inputs, and for z in about (-37.43, -36.74), where exp(-z) lies in
+    # [2**53, 2**54), 1 + exp(-z) rounds half to even and can double that
+    # difference; -36.77765564945744 is one such input
+    @settings(max_examples=500)
+    @given(z=st.floats(allow_nan=True, allow_infinity=True))
+    @example(z=0.0)
+    @example(z=-36.77765564945744)
+    @example(z=709.78)
+    @example(z=-709.78)
+    @example(z=745.0)
+    @example(z=-745.0)
+    @example(z=1e308)
+    @example(z=-1e308)
+    @example(z=math.inf)
+    @example(z=-math.inf)
+    @example(z=math.nan)
+    def test_matches_expit_within_4_ulp_without_warning(self, z):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            p = sigmoid(z)
+        assert isinstance(p, float)
+        reference = float(expit(z))
+        if math.isnan(z):
+            assert math.isnan(p)
+        else:
+            assert abs(p - reference) <= 4 * np.spacing(reference)
+        if z == 0.0:
+            assert p == 0.5
+        if math.isinf(z):
+            assert p == (1.0 if z > 0 else 0.0)
+
+    @settings(max_examples=300)
+    @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
+    def test_monotone(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert sigmoid(lo) <= sigmoid(hi)
+
     def test_array_input(self):
         z = np.array([-1.0, 0.0, 1.0])
         out = sigmoid(z)
         assert out.shape == (3,)
         assert out[1] == 0.5
         assert isinstance(sigmoid(1.5), float)
+        assert isinstance(sigmoid(2), float)
+        assert isinstance(sigmoid(np.float64(-3.0)), float)
 
 
 latents = st.lists(

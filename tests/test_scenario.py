@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from riskchoice import (
     ConfigError,
@@ -99,6 +100,22 @@ def test_choice_rate_matches_latent_probabilities():
     probs = sigmoid(latent_utility(data.take(slice(0, 5000)), cfg.true_coeffs))
     observed = np.mean(data.choice)
     assert abs(observed - np.mean(probs)) < 0.02
+
+
+@pytest.mark.parametrize("seed", [1, 42, 1000074])
+def test_numpy_link_flips_no_generated_choice(seed):
+    # replay the generator's draws and decide each choice with scipy's expit;
+    # the numpy link may differ from it by a few ULP, which must move no draw
+    n = 200_000
+    data = generate_dataset(GeneratorConfig(n=n, seed=seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    np.testing.assert_array_equal(rng.uniform(0.0, 100.0, n), data.safe)
+    np.testing.assert_array_equal(rng.uniform(0.0, 150.0, n), data.risky)
+    np.testing.assert_array_equal(rng.uniform(0.1, 0.9, n), data.p)
+    np.testing.assert_array_equal(rng.integers(0, 2, n) * 2 - 1, data.frame)
+    draws = rng.random(n)
+    utility = latent_utility(data, DEFAULT_TRUE_COEFFS)
+    np.testing.assert_array_equal((draws < expit(utility)).astype(np.int64), data.choice)
 
 
 def test_latent_utility_values():
