@@ -13,13 +13,14 @@ visited point maps inside the constraint box. One pass over the data gives the
 mean negative log-likelihood with its analytic gradient and Hessian in
 (alpha, beta, lambda, gamma, eta), from the closed-form derivatives of the
 power value function and the Prelec weight; both are chained through the
-transforms. A parameter whose branch no row evaluates leaves the solve:
-gain-only payoffs never reach the loss branch, so beta and lambda have an
-exactly zero gradient and stay at their start values. A shape parameter whose
-optimum lies on its upper bound is held exactly there. Standard errors come
-from the observed Fisher information, the same analytic Hessian at the
-optimum. Parameters the data carry no information about (a zero row of the
-information matrix) get no standard error rather than a fabricated one.
+transforms. The pass works only on the parameters the data identify, which
+the signs of the payoffs decide: gain-only payoffs never reach the loss
+branch, so beta and lambda have an exactly zero gradient, leave the solve and
+stay at their start values. A shape parameter whose optimum lies on its upper
+bound is held exactly there. Standard errors come from the observed Fisher
+information, the same analytic Hessian at the optimum, inverted over the
+identified parameters; the others get no standard error rather than a
+fabricated one.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ class _Prepared:
 
         # one allocation each: small ones come from the reused heap, not from
         # fresh pages that every new instance would fault in
-        self._neg_q, self._u_risky, self._v_safe, self._signed = (np.empty(n) for _ in range(4))
+        self._q, self._signed = np.empty(n), np.empty(n)
+        # w(p) v(R) and v(S), for the risky and the safe payoff
+        self._uv = np.empty((2, n))
+        self._u_risky, self._v_safe = self._uv
         # d is only read on the way to the signed latent until a derivative
         # pass gives it a row of its own
         self._diff = self._signed
@@ -198,17 +202,16 @@ class _Prepared:
         self._jac = None
 
     def _latent(self, theta) -> None:
-        """Fill, per row, -q = -(-ln p)^gamma, the risky payoff's weighted
-        value w(p) v(R) with w(p) = exp(-q), v(S), d = w(p) v(R) - v(S) and the
+        """Fill, per row, q = (-ln p)^gamma, the risky payoff's weighted value
+        w(p) v(R) with w(p) = exp(-q), v(S), d = w(p) v(R) - v(S) and the
         signed latent sign * eta * d, whose softplus is the row's term."""
         alpha, beta, lam, gamma, eta = theta
-        neg_q, u_risky, v_safe = self._neg_q, self._u_risky, self._v_safe
-        np.multiply(self.loglogp, gamma, out=neg_q)
-        np.exp(neg_q, out=neg_q)
-        np.negative(neg_q, out=neg_q)
+        q, u_risky, v_safe = self._q, self._u_risky, self._v_safe
+        np.multiply(self.loglogp, gamma, out=q)
+        np.exp(q, out=q)
         for rows, rs, ss in self.blocks:
             # w(p) |R|^a = exp(a ln|R| - q)
-            _branch_value(rs, self.log_abs_risky[rows], alpha, beta, lam, u_risky[rows], neg_q[rows])
+            _branch_value(rs, self.log_abs_risky[rows], alpha, beta, lam, u_risky[rows], q[rows])
             _branch_value(ss, self.log_abs_safe[rows], alpha, beta, lam, v_safe[rows])
         diff = np.subtract(u_risky, v_safe, out=self._diff)
         np.multiply(diff, eta, out=self._signed)
@@ -219,39 +222,132 @@ class _Prepared:
         breaks down numerically."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             self._latent(theta)
-            # -q and w(p) v(R) are spent once the latent is formed
-            total, _ = softplus_sum(self._signed, self._neg_q, self._u_risky)
+            # q and w(p) v(R) are spent once the latent is formed
+            total, _ = softplus_sum(self._signed, self._q, self._u_risky)
         if not np.isfinite(total):
             return np.inf
         return total / self.n
 
+    def _derivative_buffers(self) -> None:
+        """Allocate the derivative pass's work buffers, its fixed rows and the
+        tables that say where each sum of the pass goes in the Hessian."""
+        n = self.n
+        self._coords = np.flatnonzero(self.identified).tolist()
+        # the row of each identified coordinate in jac
+        self._row = {c: r for r, c in enumerate(self._coords)}
+        k = len(self._coords)
+        # jac holds, per data row, a row r for each identified coordinate,
+        # where dz/dtheta = scale * r for the latent z = eta * d of each data
+        # row: scale is eta for alpha and beta, eta / lambda for lambda, -eta
+        # for gamma, and 1 for eta, whose r is d. Entries that a block never
+        # reaches stay 0; d is written straight into its row from now on.
+        self._jac = np.zeros((k, n))
+        if 4 in self._row:
+            self._diff = self._jac[self._row[4]]
+        # h times each row of jac, then rho: one product with jac gives both
+        # sum h r r' and sum rho r; then three work rows, in one allocation
+        rows = np.empty((k + 4, n))
+        self._left, work = rows[: k + 1], rows[k + 1 :]
+        self._rho = self._left[k]
+        self._e, self._aux, self._h = work
+        self._half_sign = 0.5 * self.sign
+
+        # Where each sum of a pass goes: the Hessian is 25 floats, row-major.
+        # Its lower triangle, as (row r, row c, index, index of the mirror
+        # entry), takes sum h r r' times the two rows' scales,
+        self._pairs = [
+            (r, c, 5 * i + j, 5 * j + i)
+            for r, i in enumerate(self._coords)
+            for c, j in enumerate(self._coords[: r + 1])
+        ]
+        # and then each term of sum rho d2z/dtheta2 as (index, table, a, b,
+        # factor): entry [a][b] of a table times a factor. Table "second" is
+        # the product of the weighted and fixed rows below; table "sums" is
+        # the product of _left with jac, whose last row holds sum rho r.
+        # Scales and factors are named by their value at each pass.
+        self._scale = [("eta", "eta", "eta/lam", "-eta", "1")[c] for c in self._coords]
+        self._second = []
+        if 4 in self._row:
+            # d2z/(dtheta deta) = scale * r / eta
+            self._second += [
+                (20 + c, "sums", k, r, ("1", "1", "1/lam", "-1")[c])
+                for r, c in enumerate(self._coords[:-1])
+            ]
+        if 1 in self._row and 2 in self._row:
+            # d2z/(dbeta dlambda) = eta r_beta / lambda; d2z/dlambda2 = 0
+            self._second.append((5 * 2 + 1, "sums", k, self._row[1], "eta/lam"))
+
+        # The rest of sum rho d2z/(dtheta_i dtheta_j) is a sum of terms (i, j,
+        # source, fixed row, factor), each the sum over data rows of rho *
+        # source * fixed row, times the factor. A payoff x of sign +1 (-1)
+        # enters z / eta as c u, with c = +1 and u = w(p) v(R) for the risky
+        # payoff (source 0) and c = -1 and u = v(S) for the safe one (source
+        # 1), where v(x) = |x|^a or -lambda |x|^a for a = alpha (beta); so
+        # d2(c u)/da2 = c u ln|x|^2. With m = q ln(-ln p), the risky payoff's
+        # dz/dgamma is -eta u m (source 2: r_gamma = u m), so d2z/(da dgamma)
+        # = -eta ln|R| r_gamma, on risky losses d2z/(dlambda dgamma) = -eta
+        # r_gamma / lambda, and d2z/dgamma2 = eta r_gamma (m - ln(-ln p)).
+        # Most fixed rows are ln|x|^power on the rows where payoff x (0 risky,
+        # 1 safe) has the given sign, else 0.
+        terms = [
+            term for term in (
+                # i, j, source, payoff, sign, power, factor
+                (0, 0, 0, 0, 1, 2, "eta"),
+                (0, 0, 1, 1, 1, 2, "-eta"),
+                (0, 3, 2, 0, 1, 1, "-eta"),
+                (1, 1, 0, 0, -1, 2, "eta"),
+                (1, 1, 1, 1, -1, 2, "-eta"),
+                (1, 3, 2, 0, -1, 1, "-eta"),
+                (2, 3, 2, 0, -1, 0, "-eta/lam"),
+            )
+            if term[0] in self._row and term[1] in self._row
+        ]
+        gamma = 3 in self._row
+        # and, for gamma, a row ln(-ln p) and a row m, which each pass writes
+        self._fixed = np.zeros((len(terms) + 2 * gamma, n))
+        log_abs = (self.log_abs_risky, self.log_abs_safe)
+        for row, (_, _, _, payoff, sign, power, _) in zip(self._fixed, terms):
+            for rows, *signs in self.blocks:
+                if signs[payoff] == sign:
+                    row[rows] = log_abs[payoff][rows] ** power
+        self._second += [(5 * j + i, "second", source, f, factor)
+                         for f, (i, j, source, _, _, _, factor) in enumerate(terms)]
+        if gamma:
+            # ln(-ln p) lives in its fixed row from now on
+            self._fixed[-2] = self.loglogp
+            self.loglogp = self._fixed[-2]
+            self._m = self._fixed[-1]
+            self._second += [(5 * 3 + 3, "second", 2, len(terms), "-eta"),
+                             (5 * 3 + 3, "second", 2, len(terms) + 1, "eta")]
+        # rho times each source (u, v and, when gamma is identified, r_gamma)
+        # is formed once e, aux and h are spent, in their memory
+        self._weighted = work[: 2 + gamma]
+
     def derivatives(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
         """neg_mean_ll with its gradient and Hessian in (alpha, beta, lambda,
-        gamma, eta), from one pass over the rows.
+        gamma, eta), from one pass over the rows (see _pass)."""
+        value, grad, hess = self._pass(theta)
+        return value, np.array(grad), np.array(hess).reshape(5, 5)
+
+    def _pass(self, theta) -> tuple[float, list[float], list[float]]:
+        """neg_mean_ll with its gradient and its Hessian in (alpha, beta,
+        lambda, gamma, eta), the Hessian as 25 floats in row-major order.
 
         Each row's term is softplus(sign * z) with z = eta * d. With rho its
         derivative in z and h its second derivative, the Hessian of the sum
         is sum h (dz/dtheta)(dz/dtheta)' + sum rho d2z/dtheta2; both use the
         closed-form derivatives of the power value function and the Prelec
-        weight. Where the value or a derivative is not finite the value is
-        +inf and the derivatives are NaN. Rows and columns of parameters
-        outside ``identified`` are exactly 0.
+        weight, and are formed for the coordinates in ``identified`` only.
+        The second sum comes from one matrix product of rho-weighted rows
+        with fixed rows (see _derivative_buffers). Where the value or a
+        derivative is not finite the value is +inf and the derivatives are
+        NaN. Rows and columns of parameters outside ``identified`` are
+        exactly 0.
         """
-        lam, eta = theta[2], theta[4]
+        lam, eta = float(theta[2]), float(theta[4])
         if self._jac is None:
-            # per row, dz/dtheta / eta for (alpha, beta, lambda, gamma) and
-            # then dz/deta = d, for the latent z = eta * d of each row. Rows of
-            # parameters that a block never reaches stay 0; d is written
-            # straight into the last row from now on.
-            self._jac = np.zeros((5, self.n))
-            self._hjac = np.empty((5, self.n))
-            self._diff = self._jac[4]
-            self._e, self._aux, self._rho, self._h = (np.empty(self.n) for _ in range(4))
-            self._half_sign = 0.5 * self.sign
-        jac, rho, h, aux = self._jac, self._rho, self._h, self._aux
-        # sum rho d2z/dtheta2 / eta over (alpha, beta, lambda, gamma), with
-        # the diagonal at half weight: it is added with its transpose
-        second = np.zeros((4, 4))
+            self._derivative_buffers()
+        jac, rho, h, aux, row = self._jac, self._rho, self._h, self._aux, self._row
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             self._latent(theta)
             total, e = softplus_sum(self._signed, self._e, aux)
@@ -261,99 +357,83 @@ class _Prepared:
             np.multiply(e, aux, out=h)
             h *= aux
             np.subtract(aux, 0.5, out=rho)
-            np.copysign(rho, jac[4], out=rho)
+            np.copysign(rho, self._diff, out=rho)
             rho += self._half_sign
-            # dw/dgamma = -w m and d2w/dgamma2 = w m (m - ln(-ln p)), where
-            # m = q ln(-ln p)
-            neg_m = np.multiply(self._neg_q, self.loglogp, out=self._neg_q)
-            np.multiply(self._u_risky, neg_m, out=jac[3])
-            np.add(self.loglogp, neg_m, out=aux)
-            second[3, 3] = 0.5 * _dot3(rho, jac[3], aux)
+            if 3 in row:
+                # dw/dgamma = -w m and d2w/dgamma2 = w m (m - ln(-ln p)), where
+                # m = q ln(-ln p)
+                np.multiply(self._q, self.loglogp, out=self._m)
+                np.multiply(self._u_risky, self._m, out=jac[row[3]])
             for rows, rs, ss in self.blocks:
-                self._add_block(second, rows, rs, ss, lam)
-            jac_rho = jac @ rho
-            second[1, 2] = jac_rho[1] / lam
-            np.multiply(jac, h, out=self._hjac)
-            # rows 0-3 of jac are dz/dtheta / eta; the Hessian is
-            # D (jac h jac') D + eta * second + the eta row and column,
-            # with D = diag(eta, eta, eta, eta, 1)
-            scale = np.array([eta, eta, eta, eta, 1.0])
-            hess = self._hjac @ jac.T
-            hess += hess.T
-            hess *= 0.5 * np.multiply.outer(scale, scale)
-            second *= eta
-            hess[:4, :4] += second
-            hess[:4, :4] += second.T
-            hess[:4, 4] += jac_rho[:4]
-            hess[4, :4] += jac_rho[:4]
-            grad = jac_rho * scale
-        if not (np.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
-            return np.inf, np.full(5, np.nan), np.full((5, 5), np.nan)
-        return total / self.n, grad / self.n, hess / self.n
+                self._block_rows(rows, rs, ss)
+            np.multiply(jac, h, out=self._left[:-1])
+            # e, aux and h are spent: their memory takes the weighted rows
+            np.multiply(self._uv, rho, out=self._weighted[:2])
+            if 3 in row:
+                np.multiply(jac[row[3]], rho, out=self._weighted[2])
+            second = (self._weighted @ self._fixed.T).tolist()
+            sums = (self._left @ jac.T).tolist()
 
-    def _add_block(self, second, rows, rs, ss, lam) -> None:
-        """Write one block's rows of dz/d(alpha, beta, lambda) / eta and add
-        its terms of sum rho d2z/dtheta2 / eta to ``second``, each diagonal
-        term at half weight, since ``second`` is added with its transpose.
+        n, jac_rho = self.n, sums[-1]
+        # the factors that _derivative_buffers' tables name; a lambda that
+        # underflowed to 0 makes the pass non-finite, not an error
+        inv_lam = 1.0 / lam if lam > 0.0 else math.inf
+        factor = {
+            "1": 1.0, "-1": -1.0, "1/lam": inv_lam, "eta": eta, "-eta": -eta,
+            "eta/lam": eta * inv_lam, "-eta/lam": -eta * inv_lam,
+        }
+        scale = [factor[f] for f in self._scale]
+        grad = [0.0] * 5
+        for r, i in enumerate(self._coords):
+            grad[i] = jac_rho[r] * scale[r] / n
+        hess = [0.0] * 25  # the lower triangle, then mirrored
+        for r, c, lower, _ in self._pairs:
+            hess[lower] = (sums[r][c] + sums[c][r]) * (0.5 * scale[r] * scale[c])
+        tables = {"sums": sums, "second": second}
+        for lower, table, a, b, f in self._second:
+            hess[lower] += tables[table][a][b] * factor[f]
+        for _, _, lower, upper in self._pairs:
+            hess[lower] = hess[upper] = hess[lower] / n
+        if not math.isfinite(total + sum(grad) + sum(hess)):
+            return math.inf, [math.nan] * 5, [math.nan] * 25
+        return total / n, grad, hess
 
-        A payoff x of sign +1 (-1) enters z / eta as c u, with c = +1 for the
-        risky payoff and -1 for the safe one, u = w(p)^[risky] v(x) and
-        v(x) = |x|^a or -lambda |x|^a for the exponent a = alpha (beta). So
-        dz/da / eta = c u ln|x|, whose derivative in a is c u ln|x|^2; on
-        losses dz/dlambda / eta = c u / lambda, whose derivative in lambda is
-        0; on the risky payoff d2z/(da dgamma) = ln|x| dz/dgamma.
-        """
-        jac, rho, dz_dgamma = self._jac, self._rho[rows], self._jac[3, rows]
-        written = set()
-        for sign, coef, u, log_abs in (
-            (rs, 1.0, self._u_risky[rows], self.log_abs_risky[rows]),
-            (ss, -1.0, self._v_safe[rows], self.log_abs_safe[rows]),
-        ):
-            if sign == 0:
+    def _block_rows(self, rows, rs, ss) -> None:
+        """Write one block's rows r of alpha, beta and lambda: with c u a
+        payoff's term of z / eta as in _derivative_buffers, r = c u ln|x| for
+        its exponent and, on losses, r = c u for lambda."""
+        jac, row = self._jac, self._row
+        u, v = self._u_risky[rows], self._v_safe[rows]
+        for k, sign in ((0, 1), (1, -1)):
+            if k not in row or sign not in (rs, ss):
                 continue
-            k = 0 if sign > 0 else 1
-            # u ln|x|, into row k when this block has not yet written it
-            a = self._aux[rows] if k in written else jac[k, rows]
-            np.multiply(u, log_abs, out=a)
-            second[k, k] += 0.5 * coef * _dot3(rho, a, log_abs)
-            if coef > 0.0:
-                second[k, 3] += _dot3(rho, dz_dgamma, log_abs)
-                if sign < 0:
-                    second[2, 3] += _dot(rho, dz_dgamma) / lam
-            if k in written:
-                # only the safe payoff (c = -1) comes second
-                jac[k, rows] -= a
-            elif coef < 0.0:
-                np.negative(a, out=a)
-            written.add(k)
-            if sign < 0:
-                if 2 in written:
-                    jac[2, rows] += np.multiply(u, coef / lam, out=self._aux[rows])
-                else:
-                    np.multiply(u, coef / lam, out=jac[2, rows])
-                    written.add(2)
+            out = jac[row[k], rows]
+            if rs == sign:
+                np.multiply(u, self.log_abs_risky[rows], out=out)
+                if ss == sign:
+                    out -= np.multiply(v, self.log_abs_safe[rows], out=self._aux[rows])
+            else:
+                np.multiply(v, self.log_abs_safe[rows], out=out)
+                np.negative(out, out=out)
+        if 2 in row and -1 in (rs, ss):
+            out = jac[row[2], rows]
+            if rs < 0 and ss < 0:
+                np.subtract(u, v, out=out)
+            elif rs < 0:
+                np.copyto(out, u)
+            else:
+                np.negative(v, out=out)
 
 
-def _dot(a, b) -> float:
-    # einsum's own loop, not BLAS ddot: waking a threaded BLAS for each
-    # block's product costs more than the product at these sizes, and its
-    # partial sums would depend on the BLAS thread count
-    return float(np.einsum("i,i->", a, b))
-
-
-def _dot3(a, b, c) -> float:
-    return float(np.einsum("i,i,i->", a, b, c))
-
-
-def _branch_value(sign: int, log_abs, alpha, beta, lam, out, log_weight=None) -> None:
+def _branch_value(sign: int, log_abs, alpha, beta, lam, out, q=None) -> None:
     """Write v(x) for payoffs of one sign into out, given log|x|; times
-    exp(log_weight) when that is given."""
+    exp(-q) when q is given."""
     if sign == 0:
         out[:] = 0.0
         return
     np.multiply(log_abs, alpha if sign > 0 else beta, out=out)
-    if log_weight is not None:
-        out += log_weight
+    if q is not None:
+        out -= q
     np.exp(out, out=out)
     if sign < 0:
         out *= -lam
@@ -389,11 +469,11 @@ def _to_unconstrained(theta, gamma_max: float) -> np.ndarray:
     return np.array([np.log(v) if hi is None else _logit(v / hi) for v, hi in zip(theta, bounds)])
 
 
-def _from_unconstrained(t, gamma_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _from_unconstrained(t, gamma_max: float) -> tuple[list[float], list[float], list[float]]:
     """theta at unconstrained coordinates t, and the diagonals of its first
     and second derivatives d theta / d t and d2 theta / d t2."""
     theta, jac, curv = [], [], []
-    for ti, hi in zip(np.asarray(t, dtype=float).tolist(), _upper_bounds(gamma_max)):
+    for ti, hi in zip(t, _upper_bounds(gamma_max)):
         if hi is None:
             v = math.exp(ti) if ti < _LOG_FLOAT_MAX else math.inf
             theta.append(v)
@@ -407,7 +487,7 @@ def _from_unconstrained(t, gamma_max: float) -> tuple[np.ndarray, np.ndarray, np
             theta.append(hi * up)
             jac.append(hi * up * down)
             curv.append(hi * up * down * (down - up))
-    return np.array(theta), np.array(jac), np.array(curv)
+    return theta, jac, curv
 
 
 @dataclass(frozen=True)
@@ -437,10 +517,10 @@ class CptFit:
     """Result of the multi-restart maximum-likelihood fit.
 
     ``std_errors`` holds one entry per parameter in the order
-    (alpha, beta, lambda, gamma, eta); an entry is None when the observed
-    information carries nothing about that parameter (its row is zero) or the
-    identified block could not be inverted, in which case
-    ``information_singular`` is also set.
+    (alpha, beta, lambda, gamma, eta); an entry is None when the data do not
+    identify that parameter (see _Prepared), when the identified block of the
+    observed information could not be inverted, or when its variance came
+    out negative or not finite, and then ``information_singular`` is set.
     """
 
     params: CptParams
@@ -468,54 +548,50 @@ class CptFit:
         return d
 
 
-def _standard_errors(info: np.ndarray) -> tuple[tuple[float | None, ...], bool]:
+def _standard_errors(
+    info: np.ndarray, identified: np.ndarray
+) -> tuple[tuple[float | None, ...], bool]:
     """Invert the identified block of the information matrix.
 
-    Rows that are numerically zero mark parameters the likelihood does not
-    depend on; their entries come back None. Returns (std_errors, singular).
+    Parameters outside ``identified`` (see _Prepared) get None, as does every
+    parameter when the block cannot be inverted, and any whose variance comes
+    out negative or not finite. Returns (std_errors, singular), where
+    singular says whether any entry is None.
     """
-    k = info.shape[0]
-    scale = max(1.0, float(np.max(np.abs(info))))
-    live = [i for i in range(k) if np.any(np.abs(info[i]) > 1e-10 * scale)]
-    ses: list[float | None] = [None] * k
-    singular = len(live) < k
+    live = np.flatnonzero(identified).tolist()
+    ses: list[float | None] = [None] * info.shape[0]
     if not live:
         return tuple(ses), True
-    sub = info[np.ix_(live, live)]
     try:
-        sub_cov = np.linalg.inv(sub)
+        sub_cov = np.linalg.inv(info[np.ix_(live, live)])
     except np.linalg.LinAlgError:
         return tuple(ses), True
-    diag = np.diag(sub_cov)
-    for pos, i in enumerate(live):
-        d = diag[pos]
-        if np.isfinite(d) and d >= 0.0:
-            ses[i] = float(np.sqrt(d))
-        else:
-            singular = True
-    return tuple(ses), singular
+    for i, d in zip(live, np.diag(sub_cov).tolist()):
+        if math.isfinite(d) and d >= 0.0:
+            ses[i] = math.sqrt(d)
+    return tuple(ses), None in ses
 
 
 class _Point(NamedTuple):
     """An iterate: unconstrained coordinates, theta with the diagonals of
     d theta/dt and d2 theta/dt2, and neg_mean_ll with its gradient and
-    Hessian in theta."""
+    Hessian in theta (row-major), as _Prepared._pass gives them."""
 
-    t: np.ndarray
-    theta: np.ndarray
-    jac: np.ndarray
-    curv: np.ndarray
+    t: list[float]
+    theta: list[float]
+    jac: list[float]
+    curv: list[float]
     value: float
-    grad: np.ndarray
-    hess: np.ndarray
+    grad: list[float]
+    hess: list[float]
 
 
 def _evaluate(prep: _Prepared, t, gamma_max: float) -> _Point:
     theta, jac, curv = _from_unconstrained(t, gamma_max)
-    return _Point(t, theta, jac, curv, *prep.derivatives(theta))
+    return _Point(t, theta, jac, curv, *prep._pass(theta))
 
 
-def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[np.ndarray, float, bool, int]:
+def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[list[float], float, bool, int]:
     """Minimize neg_mean_ll from t0 by trust-region Newton steps in
     unconstrained coordinates; return (end point, value there, converged,
     likelihood passes).
@@ -535,68 +611,71 @@ def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[np.ndarray, float, b
     taken, which near the optimum squares the remaining error, and kept if
     it does not raise the objective.
     """
-    upper = np.array([math.inf if hi is None else hi for hi in _upper_bounds(gamma_max)])
-    bounded = [i for i in range(5) if math.isfinite(upper[i]) and prep.identified[i]]
+    upper = [math.inf if hi is None else hi for hi in _upper_bounds(gamma_max)]
+    identified = np.flatnonzero(prep.identified).tolist()
+    bounded = [i for i in identified if upper[i] < math.inf]
     # distance below its upper bound from which a coordinate is tried on it;
     # after a failed try or a release, half the distance it was at, so a
     # coordinate whose optimum lies just inside the box is tried only as
     # often as it closes in on the bound
-    gap = _BOUND_REL * upper
-    held = np.zeros(5, dtype=bool)
-    point = _evaluate(prep, np.array(t0, dtype=float), gamma_max)
+    gap = [_BOUND_REL * hi for hi in upper]
+    held: list[int] = []
+    free = identified
+    point = _evaluate(prep, [float(v) for v in t0], gamma_max)
     passes = 1
     radius = _RADIUS_START
     while passes < _MAX_PASSES and math.isfinite(point.value):
-        theta, grad = point.theta.tolist(), point.grad.tolist()
+        theta, grad = point.theta, point.grad
         onto = [i for i in bounded
-                if not held[i] and upper[i] - theta[i] < gap[i] and grad[i] < 0.0]
+                if i not in held and upper[i] - theta[i] < gap[i] and grad[i] < 0.0]
         if onto:
-            t = point.t.copy()
-            t[onto] = _T_HELD
-            trial = _evaluate(prep, t, gamma_max)
+            trial = _evaluate(prep, _replaced(point.t, onto, _T_HELD), gamma_max)
             passes += 1
             # the bound must not raise the objective and must be a KKT point:
             # there the gradient still points out of the box
-            if trial.value <= point.value and np.all(trial.grad[onto] < 0.0):
+            if trial.value <= point.value and all(trial.grad[i] < 0.0 for i in onto):
                 point = trial
-                held[onto] = True
+                held = sorted(held + onto)
+                free = [i for i in identified if i not in held]
                 continue
-            gap[onto] = 0.5 * (upper[onto] - point.theta[onto])
-        off = [i for i in bounded if held[i] and grad[i] > 0.0]
+            for i in onto:
+                gap[i] = 0.5 * (upper[i] - theta[i])
+        off = [i for i in held if grad[i] > 0.0]
         if off:
-            t = point.t.copy()
-            t[off] = _T_RELEASED
-            point = _evaluate(prep, t, gamma_max)
+            point = _evaluate(prep, _replaced(point.t, off, _T_RELEASED), gamma_max)
             passes += 1
-            held[off] = False
-            gap[off] = 0.5 * (upper[off] - point.theta[off])
+            held = [i for i in held if i not in off]
+            free = [i for i in identified if i not in held]
+            for i in off:
+                gap[i] = 0.5 * (upper[i] - point.theta[i])
             continue
 
-        free = np.flatnonzero(prep.identified & ~held)
-        if free.size == 0:
+        if not free:
             return point.t, point.value, True, passes
-        jac = point.jac[free]
-        hess_t = jac[:, None] * point.hess[free][:, free] * jac
-        hess_t.flat[:: free.size + 1] += point.grad[free] * point.curv[free]
+        hess = point.hess
+        jac = [point.jac[i] for i in free]
+        hess_t = [[ja * hess[5 * i + j] * jb for j, jb in zip(free, jac)] for i, ja in zip(free, jac)]
+        for a, i in enumerate(free):
+            hess_t[a][a] += grad[i] * point.curv[i]
         eig, vec = np.linalg.eigh(hess_t)
-        proj = vec.T @ (jac * point.grad[free])
-        if eig[0] > 0.0 and proj @ (proj / eig) <= 2.0 * _DECREMENT_TOL:
-            t = point.t.copy()
-            t[free] -= vec @ (proj / eig)
-            final = _evaluate(prep, t, gamma_max)
+        eig, vec = eig.tolist(), vec.tolist()
+        grad_t = [ja * grad[i] for i, ja in zip(free, jac)]
+        # the gradient in the eigenbasis, vec' g_t
+        proj = [sum(v[b] * g for v, g in zip(vec, grad_t)) for b in range(len(free))]
+        if eig[0] > 0.0 and sum(p * (p / e) for p, e in zip(proj, eig)) <= 2.0 * _DECREMENT_TOL:
+            newton = [-p / e for p, e in zip(proj, eig)]
+            final = _evaluate(prep, _stepped(point.t, free, vec, newton), gamma_max)
             if final.value <= point.value:
                 point = final
             return point.t, point.value, True, passes + 1
 
         while passes < _MAX_PASSES:
             step = _trust_region_step(eig, proj, radius)
-            t = point.t.copy()
-            t[free] += vec @ step
-            trial = _evaluate(prep, t, gamma_max)
+            trial = _evaluate(prep, _stepped(point.t, free, vec, step), gamma_max)
             passes += 1
-            predicted = -(proj @ step + 0.5 * (eig * step) @ step)
+            predicted = -sum(p * s + 0.5 * (e * s) * s for p, e, s in zip(proj, eig, step))
             gain = point.value - trial.value
-            length = math.sqrt(step @ step)
+            length = math.sqrt(sum(s * s for s in step))
             if not gain >= 0.25 * predicted:
                 radius = length / 4.0
             elif gain >= 0.75 * predicted and length >= 0.99 * radius:
@@ -607,27 +686,46 @@ def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[np.ndarray, float, b
     return point.t, point.value, False, passes
 
 
-def _trust_region_step(eig, proj, radius: float) -> np.ndarray:
+def _replaced(t: list[float], coords: list[int], value: float) -> list[float]:
+    """t with the given coordinates set to value."""
+    t = list(t)
+    for i in coords:
+        t[i] = value
+    return t
+
+
+def _stepped(t: list[float], free: list[int], vec: list[list[float]], step) -> list[float]:
+    """t moved on the free coordinates by vec @ step, a step given in the
+    eigenbasis whose vectors are the columns of vec."""
+    t = list(t)
+    for i, v in zip(free, vec):
+        t[i] += sum(a * s for a, s in zip(v, step))
+    return t
+
+
+def _trust_region_step(eig: list[float], proj: list[float], radius: float) -> list[float]:
     """Minimizer, in the eigenbasis of the Hessian, of the quadratic model
     proj's + s'diag(eig)s / 2 over steps s no longer than radius:
     s = -proj / (eig + mu) with the smallest admissible mu >= 0, found by
     Newton's method on 1/|s(mu)| - 1/radius (Nocedal & Wright, Alg. 4.3).
+    Takes and returns lists of floats, eig in ascending order; a quotient
+    too large for a float is inf, as float division gives.
     """
     if eig[0] > 0.0:
-        with np.errstate(over="ignore"):
-            newton = -proj / eig
-            if newton @ newton <= radius * radius:
-                return newton
-    lowest = max(0.0, -float(eig[0]))
+        newton = [-p / e for p, e in zip(proj, eig)]
+        if sum(s * s for s in newton) <= radius * radius:
+            return newton
+    lowest = max(0.0, -eig[0])
     mu = lowest + 1e-12 * max(1.0, lowest)
     for _ in range(50):
-        step = -proj / (eig + mu)
-        length = math.sqrt(step @ step)
+        step = [-p / (e + mu) for p, e in zip(proj, eig)]
+        length = math.sqrt(sum(s * s for s in step))
         if length <= radius * (1.0 + 1e-3):
             break
         # scaled by the step's length, so that no square underflows
-        unit = step / length
-        mu += (length / radius - 1.0) / ((unit * unit) @ (1.0 / (eig + mu)))
+        mu += (length / radius - 1.0) / sum(
+            (s / length) * (s / length) / (e + mu) for s, e in zip(step, eig)
+        )
     return step
 
 
@@ -666,7 +764,7 @@ def fit_cpt(
     start_lo, start_hi = _start_box(gamma_max)
 
     records: list[RestartRecord] = []
-    optima: list[np.ndarray] = []  # end points in unconstrained coordinates
+    optima: list[list[float]] = []  # end points in unconstrained coordinates
     for idx, restart_seed in enumerate(restart_seeds.tolist()):
         start = np.random.Generator(np.random.PCG64(restart_seed)).uniform(start_lo, start_hi)
         end, value, converged, passes = _newton(prep, _to_unconstrained(start, gamma_max), gamma_max)
@@ -689,24 +787,24 @@ def fit_cpt(
 
     # max keeps the first of equal keys, so an exact tie goes to the lowest index
     best = max(records, key=lambda r: r.log_likelihood)
-    optimum = optima[best.index]
+    optimum = np.array(optima[best.index], dtype=float)
 
-    theta, _, _ = _from_unconstrained(optimum, gamma_max)
-    if not np.all(np.isfinite(theta)):
+    theta, _, _ = _from_unconstrained(optimum.tolist(), gamma_max)
+    if not all(math.isfinite(v) for v in theta):
         raise EstimationError(
             f"best restart {best.index} ended at non-finite parameters "
-            f"{dict(zip(PARAM_NAMES, theta.tolist()))}",
+            f"{dict(zip(PARAM_NAMES, theta))}",
             restart_log=records,
         )
     # the transforms keep iterates inside the open box, but a coordinate
     # driven far into a flat direction can underflow to exactly 0
-    theta = np.maximum(theta, 1e-300).tolist()
+    theta = [max(v, 1e-300) for v in theta]
     params = CptParams(
         *(v if hi is None else min(v, hi) for v, hi in zip(theta, _upper_bounds(gamma_max)))
     )
 
     _, _, hess = prep.derivatives(params.as_tuple())
-    std_errors, singular = _standard_errors(prep.n * hess)
+    std_errors, singular = _standard_errors(prep.n * hess, prep.identified)
 
     return CptFit(
         params=params,

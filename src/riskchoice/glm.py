@@ -56,8 +56,9 @@ def softplus_sum(s, e=None, work=None) -> tuple[float, np.ndarray]:
     np.negative(e, out=e)
     np.exp(e, out=e)
     work = np.maximum(s, 0.0, out=work)
-    total = np.sum(work)
-    return float(total + np.sum(np.log1p(e, out=work))), e
+    # add.reduce is np.sum's own kernel, without its Python dispatch
+    total = np.add.reduce(work)
+    return float(total + np.add.reduce(np.log1p(e, out=work))), e
 
 
 def _check_inputs(X, y, l2_strength=0.0, coeffs=None):
