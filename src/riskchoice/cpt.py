@@ -11,13 +11,17 @@ points in an unconstrained reparameterization (logit-type transforms for the
 box-bounded shape parameters, log transforms for the positive ones), so every
 visited point maps inside the constraint box. One pass over the data gives the
 mean negative log-likelihood with its analytic gradient and Hessian in
-(alpha, beta, lambda, gamma, eta), from the closed-form derivatives of the
-power value function and the Prelec weight; both are chained through the
-transforms. The pass works only on the parameters the data identify, which
-the signs of the payoffs decide: gain-only payoffs never reach the loss
-branch, so beta and lambda have an exactly zero gradient, leave the solve and
-stay at their start values. A shape parameter whose optimum lies on its upper
-bound is held exactly there. Standard errors come from the observed Fisher
+(alpha, beta, lambda, gamma, eta); both are chained through the transforms.
+Each payoff's term of the latent is +-eta exp(a ln|x|), times lambda on
+losses and times the Prelec weight exp(-(-ln p)^gamma) for the risky payoff,
+so one table of what a payoff of each sign enters (a gain alpha; a loss beta
+and lambda, which it holds linearly; the risky payoff also gamma) decides
+everything the pass does: which parameters the data identify, each branch of
+the value function, and every derivative row and second-order sum. The pass
+works only on the identified parameters: gain-only payoffs never reach the
+loss branch, so beta and lambda have an exactly zero gradient, leave the solve
+and stay at their start values. A shape parameter whose optimum lies on its
+upper bound is held exactly there. Standard errors come from the observed Fisher
 information, the same analytic Hessian at the optimum, inverted over the
 identified parameters; the others get no standard error rather than a
 fabricated one.
@@ -139,6 +143,31 @@ def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
     return float(-prep.neg_mean_ll(params.as_tuple()) * prep.n)
 
 
+# What the term of a nonzero payoff x enters, by its sign. The term in
+# z = eta * (w(p) v(R) - v(S)) is +-eta * exp(phi) on gains and +-eta *
+# lambda * exp(phi) on losses, with phi = a ln|x|, minus q = (-ln p)^gamma for
+# the risky payoff. Each entry is (coordinate, kind): "power" is the exponent
+# a, alpha on gains and beta on losses, with dphi/da = ln|x|; "linear" is
+# lambda, which multiplies the term, so the term's derivative in it is the
+# term / lambda and its second is 0; "weight" is gamma, which only the risky
+# payoff enters, through w(p) = exp(-q), with dphi/dgamma = -m for
+# m = q ln(-ln p) and d2phi/dgamma2 = -m ln(-ln p). eta multiplies every term.
+_POWER, _LINEAR, _WEIGHT = "power", "linear", "weight"
+_BY_SIGN = {1: ((0, _POWER),), -1: ((1, _POWER), (2, _LINEAR))}
+
+
+def _enters(payoff: int, sign: int) -> tuple[tuple[int, str], ...]:
+    """The (coordinate, kind) entries of a payoff (0 risky, 1 safe) of the
+    given sign, as _BY_SIGN states them; none for a zero payoff."""
+    if sign == 0:
+        return ()
+    return _BY_SIGN[sign] + ((3, _WEIGHT),) * (payoff == 0)
+
+
+# each coordinate's kind, as the risky payoff enters it
+_KIND = {c: kind for sign in (1, -1) for c, kind in _enters(0, sign)}
+
+
 class _Prepared:
     """Dataset preprocessed for repeated likelihood and derivative passes.
 
@@ -152,9 +181,9 @@ class _Prepared:
     """
 
     def __init__(self, arrays: ScenarioArrays):
-        if np.any(arrays.p <= 0.0) or np.any(arrays.p >= 1.0):
-            raise InputError("win probabilities must lie strictly in (0, 1)")
         self.n = n = len(arrays)
+        if n == 0:
+            raise InputError("the likelihood needs at least one scenario")
         risky_sign = np.sign(arrays.risky).astype(np.int64)
         safe_sign = np.sign(arrays.safe).astype(np.int64)
         order = np.argsort(3 * risky_sign + safe_sign, kind="stable")
@@ -166,27 +195,12 @@ class _Prepared:
         self.blocks = tuple(
             (slice(lo, hi), int(risky_sign[lo]), int(safe_sign[lo]))
             for lo, hi in zip(edges[:-1], edges[1:])
-            if hi > lo
         )
-        # The parameters the likelihood depends on: a branch of the value
-        # function enters only through payoffs of its sign, gamma only
-        # through nonzero risky payoffs. The others have an exactly zero
-        # gradient and Hessian row, whatever the parameters.
-        signs = {sign for _, rs, ss in self.blocks for sign in (rs, ss)}
-        self.identified = np.array([
-            1 in signs,
-            -1 in signs,
-            -1 in signs,
-            any(rs != 0 for _, rs, _ in self.blocks),
-            signs != {0},
-        ])
-
         self.sign = (1.0 - 2.0 * arrays.choice.astype(float))[order]
         self.loglogp = np.log(-np.log(arrays.p[order]))
         with np.errstate(divide="ignore"):
             # log 0 = -inf is never read: zero payoffs take the zero branch
-            self.log_abs_risky = np.log(np.abs(arrays.risky[order]))
-            self.log_abs_safe = np.log(np.abs(arrays.safe[order]))
+            self.log_abs = tuple(np.log(np.abs(x[order])) for x in (arrays.risky, arrays.safe))
 
         # one allocation each: small ones come from the reused heap, not from
         # fresh pages that every new instance would fault in
@@ -194,6 +208,19 @@ class _Prepared:
         # w(p) v(R) and v(S), for the risky and the safe payoff
         self._uv = np.empty((2, n))
         self._u_risky, self._v_safe = self._uv
+        # for each block and payoff, its sign, the coordinate of each kind it
+        # enters and its slices of log|x|, of its value and of q
+        self._branches = [
+            (s, {kind: c for c, kind in _enters(x, s)}, self.log_abs[x][rows],
+             self._uv[x, rows], self._q[rows])
+            for rows, *signs in self.blocks
+            for x, s in enumerate(signs)
+        ]
+        # The parameters the likelihood depends on: those some payoff enters,
+        # and eta when any does. The others have an exactly zero gradient and
+        # Hessian row, whatever the parameters.
+        entered = {c for _, enters, *_ in self._branches for c in enters.values()}
+        self.identified = np.array([c in entered for c in range(4)] + [bool(entered)])
         # d is only read on the way to the signed latent until a derivative
         # pass gives it a row of its own
         self._diff = self._signed
@@ -205,16 +232,12 @@ class _Prepared:
         """Fill, per row, q = (-ln p)^gamma, the risky payoff's weighted value
         w(p) v(R) with w(p) = exp(-q), v(S), d = w(p) v(R) - v(S) and the
         signed latent sign * eta * d, whose softplus is the row's term."""
-        alpha, beta, lam, gamma, eta = theta
-        q, u_risky, v_safe = self._q, self._u_risky, self._v_safe
-        np.multiply(self.loglogp, gamma, out=q)
-        np.exp(q, out=q)
-        for rows, rs, ss in self.blocks:
-            # w(p) |R|^a = exp(a ln|R| - q)
-            _branch_value(rs, self.log_abs_risky[rows], alpha, beta, lam, u_risky[rows], q[rows])
-            _branch_value(ss, self.log_abs_safe[rows], alpha, beta, lam, v_safe[rows])
-        diff = np.subtract(u_risky, v_safe, out=self._diff)
-        np.multiply(diff, eta, out=self._signed)
+        np.multiply(self.loglogp, theta[3], out=self._q)
+        np.exp(self._q, out=self._q)
+        for branch in self._branches:
+            _branch_value(theta, *branch)
+        diff = np.subtract(self._u_risky, self._v_safe, out=self._diff)
+        np.multiply(diff, theta[4], out=self._signed)
         self._signed *= self.sign
 
     def neg_mean_ll(self, theta) -> float:
@@ -229,99 +252,100 @@ class _Prepared:
         return total / self.n
 
     def _derivative_buffers(self) -> None:
-        """Allocate the derivative pass's work buffers, its fixed rows and the
-        tables that say where each sum of the pass goes in the Hessian."""
-        n = self.n
-        self._coords = np.flatnonzero(self.identified).tolist()
-        # the row of each identified coordinate in jac
-        self._row = {c: r for r, c in enumerate(self._coords)}
-        k = len(self._coords)
+        """Allocate the derivative pass's work buffers and build, from the
+        sign table, its fixed rows and where each of its sums goes."""
+        n, blocks = self.n, self.blocks
+        self._coords = coords = np.flatnonzero(self.identified).tolist()
+        # the identified coordinates but eta, which any of them brings, last
+        params = coords[:-1]
         # jac holds, per data row, a row r for each identified coordinate,
-        # where dz/dtheta = scale * r for the latent z = eta * d of each data
-        # row: scale is eta for alpha and beta, eta / lambda for lambda, -eta
-        # for gamma, and 1 for eta, whose r is d. Entries that a block never
-        # reaches stay 0; d is written straight into its row from now on.
-        self._jac = np.zeros((k, n))
-        if 4 in self._row:
-            self._diff = self._jac[self._row[4]]
+        # with dz/dtheta = eta * c * r for z = eta * d (see _pass): r sums,
+        # over the payoffs that enter the coordinate, +-u g, + for the risky
+        # payoff and - for the safe one, where u is w(p) v(R) or v(S) and g
+        # is ln|x| for an exponent, m for gamma and 1 for lambda. eta's r is
+        # d, written there by _latent from now on. Entries that no block
+        # reaches stay 0.
+        self._jac = jac = np.zeros((len(coords), n))
+        if coords:
+            self._diff = jac[-1]
         # h times each row of jac, then rho: one product with jac gives both
         # sum h r r' and sum rho r; then three work rows, in one allocation
-        rows = np.empty((k + 4, n))
-        self._left, work = rows[: k + 1], rows[k + 1 :]
-        self._rho = self._left[k]
+        rows = np.empty((len(coords) + 4, n))
+        self._left, work = rows[:-3], rows[-3:]
+        self._rho = self._left[-1]
         self._e, self._aux, self._h = work
         self._half_sign = 0.5 * self.sign
+        # dphi/dtheta = c g for each coordinate's g: c is 1 for an exponent,
+        # -1 for gamma and 1 / theta, set by each pass, for a linear one
+        self._c = [-1.0 if _KIND[i] == _WEIGHT else 1.0 for i in range(4)]
+        self._linear = [i for i in params if _KIND[i] == _LINEAR]
 
         # Where each sum of a pass goes: the Hessian is 25 floats, row-major.
         # Its lower triangle, as (row r, row c, index, index of the mirror
         # entry), takes sum h r r' times the two rows' scales,
         self._pairs = [
             (r, c, 5 * i + j, 5 * j + i)
-            for r, i in enumerate(self._coords)
-            for c, j in enumerate(self._coords[: r + 1])
+            for r, i in enumerate(coords)
+            for c, j in enumerate(coords[: r + 1])
         ]
-        # and then each term of sum rho d2z/dtheta2 as (index, table, a, b,
-        # factor): entry [a][b] of a table times a factor. Table "second" is
-        # the product of the weighted and fixed rows below; table "sums" is
-        # the product of _left with jac, whose last row holds sum rho r.
-        # Scales and factors are named by their value at each pass.
-        self._scale = [("eta", "eta", "eta/lam", "-eta", "1")[c] for c in self._coords]
-        self._second = []
-        if 4 in self._row:
-            # d2z/(dtheta deta) = scale * r / eta
-            self._second += [
-                (20 + c, "sums", k, r, ("1", "1", "1/lam", "-1")[c])
-                for r, c in enumerate(self._coords[:-1])
-            ]
-        if 1 in self._row and 2 in self._row:
-            # d2z/(dbeta dlambda) = eta r_beta / lambda; d2z/dlambda2 = 0
-            self._second.append((5 * 2 + 1, "sums", k, self._row[1], "eta/lam"))
-
-        # The rest of sum rho d2z/(dtheta_i dtheta_j) is a sum of terms (i, j,
-        # source, fixed row, factor), each the sum over data rows of rho *
-        # source * fixed row, times the factor. A payoff x of sign +1 (-1)
-        # enters z / eta as c u, with c = +1 and u = w(p) v(R) for the risky
-        # payoff (source 0) and c = -1 and u = v(S) for the safe one (source
-        # 1), where v(x) = |x|^a or -lambda |x|^a for a = alpha (beta); so
-        # d2(c u)/da2 = c u ln|x|^2. With m = q ln(-ln p), the risky payoff's
-        # dz/dgamma is -eta u m (source 2: r_gamma = u m), so d2z/(da dgamma)
-        # = -eta ln|R| r_gamma, on risky losses d2z/(dlambda dgamma) = -eta
-        # r_gamma / lambda, and d2z/dgamma2 = eta r_gamma (m - ln(-ln p)).
-        # Most fixed rows are ln|x|^power on the rows where payoff x (0 risky,
-        # 1 safe) has the given sign, else 0.
-        terms = [
-            term for term in (
-                # i, j, source, payoff, sign, power, factor
-                (0, 0, 0, 0, 1, 2, "eta"),
-                (0, 0, 1, 1, 1, 2, "-eta"),
-                (0, 3, 2, 0, 1, 1, "-eta"),
-                (1, 1, 0, 0, -1, 2, "eta"),
-                (1, 1, 1, 1, -1, 2, "-eta"),
-                (1, 3, 2, 0, -1, 1, "-eta"),
-                (2, 3, 2, 0, -1, 0, "-eta/lam"),
-            )
-            if term[0] in self._row and term[1] in self._row
-        ]
-        gamma = 3 in self._row
-        # and, for gamma, a row ln(-ln p) and a row m, which each pass writes
-        self._fixed = np.zeros((len(terms) + 2 * gamma, n))
-        log_abs = (self.log_abs_risky, self.log_abs_safe)
-        for row, (_, _, _, payoff, sign, power, _) in zip(self._fixed, terms):
-            for rows, *signs in self.blocks:
-                if signs[payoff] == sign:
-                    row[rows] = log_abs[payoff][rows] ** power
-        self._second += [(5 * j + i, "second", source, f, factor)
-                         for f, (i, j, source, _, _, _, factor) in enumerate(terms)]
+        # and then sum rho d2z/dtheta2. Its entries with eta are sum rho r
+        # times c. For two other coordinates i and j it is eta c_i c_j times
+        # the sum, over the payoffs x that enter both, of +-rho u g_i g_j:
+        # that is sum rho r_o when one of them is linear and entered wherever
+        # the other, o, is, and gamma with itself adds its curvature
+        # -m ln(-ln p). The other sums over the data rows come from one
+        # product of the weighted rows (rho u for each payoff and, for gamma,
+        # rho u m, which takes over one factor m) with fixed rows: ln|x|^k on
+        # the rows where x has a sign that enters both coordinates, k the
+        # number of exponents among them, then ln(-ln p), and m, which each
+        # pass writes. Each term is (index, weighted row, fixed row, +-1, i,
+        # j); weighted row -1 stands for rho, whose sums are sum rho r.
+        entries = [{s: dict(_enters(x, s)) for s in {b[1 + x] for b in blocks}} for x in (0, 1)]
+        entered = [e for d in entries for e in d.values()]
+        gamma = 3 in params
+        keys = {"loglogp": -2, "m": -1} if gamma else {}
+        # gamma's curvature: rho u m against ln(-ln p), times -eta c_gamma^2
+        self._second = [(5 * 3 + 3, 2, -2, -1, 3, 3)] * gamma
+        for a, i in enumerate(params):
+            # a linear coordinate has no second derivative of its own
+            for j in params[a + (_KIND[i] == _LINEAR) :]:
+                kinds = sorted(_KIND[c] for c in (i, j))
+                o, l = (i, j) if _KIND[j] == _LINEAR else (j, i)
+                if kinds[0] == _LINEAR and all(l in e for e in entered if o in e):
+                    self._second.append((5 * j + i, -1, params.index(o), 1, i, j))
+                    continue
+                for x, enters in enumerate(entries):
+                    signs = tuple(s for s in sorted(enters) if i in enters[s] and j in enters[s])
+                    if signs:
+                        key = "m" if kinds == [_WEIGHT] * 2 else (x, signs, kinds.count(_POWER))
+                        f = keys.setdefault(key, len(keys) - 2 * gamma)
+                        w = 2 if _WEIGHT in kinds else x
+                        self._second.append((5 * j + i, w, f, 1 - 2 * x, i, j))
+        self._fixed = np.zeros((len(keys), n))
+        for (x, signs, power), f in list(keys.items())[2 * gamma :]:
+            for rows, *s in blocks:
+                if s[x] in signs:
+                    self._fixed[f, rows] = self.log_abs[x][rows] ** power
         if gamma:
             # ln(-ln p) lives in its fixed row from now on
             self._fixed[-2] = self.loglogp
-            self.loglogp = self._fixed[-2]
-            self._m = self._fixed[-1]
-            self._second += [(5 * 3 + 3, "second", 2, len(terms), "-eta"),
-                             (5 * 3 + 3, "second", 2, len(terms) + 1, "eta")]
-        # rho times each source (u, v and, when gamma is identified, r_gamma)
-        # is formed once e, aux and h are spent, in their memory
+        self.loglogp, self._m = self._fixed[-2:] if gamma else (self.loglogp, None)
+        # rho times u, v and, when gamma is identified, r_gamma is formed
+        # once e, aux and h are spent, in their memory
         self._weighted = work[: 2 + gamma]
+
+        # The block-by-block steps that write each r but eta's, as (r's
+        # slice, aux's slice, first term, other terms): a term (payoff, u, g)
+        # for each payoff that enters the coordinate, the risky one first,
+        # with g of each kind (1 for a linear one) by payoff.
+        g = {_POWER: self.log_abs, _WEIGHT: [self._m]}
+        self._fills = []
+        for rows, *signs in blocks:
+            for r, i in enumerate(params):
+                fill = [(x, self._uv[x, rows], g[kind][x][rows] if kind in g else 1.0)
+                        for x, s in enumerate(signs) for c, kind in _enters(x, s) if c == i]
+                if fill:
+                    self._fills.append((jac[r, rows], self._aux[rows], fill[0], fill[1:]))
 
     def derivatives(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
         """neg_mean_ll with its gradient and Hessian in (alpha, beta, lambda,
@@ -335,19 +359,17 @@ class _Prepared:
 
         Each row's term is softplus(sign * z) with z = eta * d. With rho its
         derivative in z and h its second derivative, the Hessian of the sum
-        is sum h (dz/dtheta)(dz/dtheta)' + sum rho d2z/dtheta2; both use the
-        closed-form derivatives of the power value function and the Prelec
-        weight, and are formed for the coordinates in ``identified`` only.
-        The second sum comes from one matrix product of rho-weighted rows
-        with fixed rows (see _derivative_buffers). Where the value or a
-        derivative is not finite the value is +inf and the derivatives are
+        is sum h (dz/dtheta)(dz/dtheta)' + sum rho d2z/dtheta2; both come
+        from the sign table's entries (see _derivative_buffers) and are
+        formed for the coordinates in ``identified`` only. Where the value or
+        a derivative is not finite the value is +inf and the derivatives are
         NaN. Rows and columns of parameters outside ``identified`` are
         exactly 0.
         """
-        lam, eta = float(theta[2]), float(theta[4])
+        eta = float(theta[4])
         if self._jac is None:
             self._derivative_buffers()
-        jac, rho, h, aux, row = self._jac, self._rho, self._h, self._aux, self._row
+        jac, rho, h, aux = self._jac, self._rho, self._h, self._aux
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             self._latent(theta)
             total, e = softplus_sum(self._signed, self._e, aux)
@@ -359,84 +381,63 @@ class _Prepared:
             np.subtract(aux, 0.5, out=rho)
             np.copysign(rho, self._diff, out=rho)
             rho += self._half_sign
-            if 3 in row:
-                # dw/dgamma = -w m and d2w/dgamma2 = w m (m - ln(-ln p)), where
-                # m = q ln(-ln p)
+            if self._m is not None:
                 np.multiply(self._q, self.loglogp, out=self._m)
-                np.multiply(self._u_risky, self._m, out=jac[row[3]])
-            for rows, rs, ss in self.blocks:
-                self._block_rows(rows, rs, ss)
+            for out, tmp, (x, u, g), rest in self._fills:
+                np.multiply(u, g, out=out)
+                for _, v, g in rest:  # the safe payoff's term
+                    out -= np.multiply(v, g, out=tmp)
+                if x:  # the safe payoff's term alone
+                    np.negative(out, out=out)
             np.multiply(jac, h, out=self._left[:-1])
             # e, aux and h are spent: their memory takes the weighted rows
             np.multiply(self._uv, rho, out=self._weighted[:2])
-            if 3 in row:
-                np.multiply(jac[row[3]], rho, out=self._weighted[2])
+            if self._m is not None:
+                # gamma's row is the last but eta's
+                np.multiply(jac[-2], rho, out=self._weighted[2])
             second = (self._weighted @ self._fixed.T).tolist()
             sums = (self._left @ jac.T).tolist()
 
-        n, jac_rho = self.n, sums[-1]
-        # the factors that _derivative_buffers' tables name; a lambda that
-        # underflowed to 0 makes the pass non-finite, not an error
-        inv_lam = 1.0 / lam if lam > 0.0 else math.inf
-        factor = {
-            "1": 1.0, "-1": -1.0, "1/lam": inv_lam, "eta": eta, "-eta": -eta,
-            "eta/lam": eta * inv_lam, "-eta/lam": -eta * inv_lam,
-        }
-        scale = [factor[f] for f in self._scale]
+        n, jac_rho, c = self.n, sums[-1], self._c
+        second.append(jac_rho)
+        for i in self._linear:
+            # a lambda that underflowed to 0 makes the pass non-finite, not
+            # an error
+            c[i] = 1.0 / float(theta[i]) if theta[i] > 0.0 else math.inf
+        scale = [eta * c[i] if i < 4 else 1.0 for i in self._coords]
         grad = [0.0] * 5
         for r, i in enumerate(self._coords):
             grad[i] = jac_rho[r] * scale[r] / n
         hess = [0.0] * 25  # the lower triangle, then mirrored
-        for r, c, lower, _ in self._pairs:
-            hess[lower] = (sums[r][c] + sums[c][r]) * (0.5 * scale[r] * scale[c])
-        tables = {"sums": sums, "second": second}
-        for lower, table, a, b, f in self._second:
-            hess[lower] += tables[table][a][b] * factor[f]
+        for r, k, lower, _ in self._pairs:
+            hess[lower] = (sums[r][k] + sums[k][r]) * (0.5 * scale[r] * scale[k])
+        # eta multiplies z: d2z/(dtheta deta) = c r
+        for r, i in enumerate(self._coords[:-1]):
+            hess[20 + i] += jac_rho[r] * c[i]
+        for lower, w, f, sign, i, j in self._second:
+            hess[lower] += second[w][f] * (sign * eta * c[i] * c[j])
         for _, _, lower, upper in self._pairs:
             hess[lower] = hess[upper] = hess[lower] / n
         if not math.isfinite(total + sum(grad) + sum(hess)):
             return math.inf, [math.nan] * 5, [math.nan] * 25
         return total / n, grad, hess
 
-    def _block_rows(self, rows, rs, ss) -> None:
-        """Write one block's rows r of alpha, beta and lambda: with c u a
-        payoff's term of z / eta as in _derivative_buffers, r = c u ln|x| for
-        its exponent and, on losses, r = c u for lambda."""
-        jac, row = self._jac, self._row
-        u, v = self._u_risky[rows], self._v_safe[rows]
-        for k, sign in ((0, 1), (1, -1)):
-            if k not in row or sign not in (rs, ss):
-                continue
-            out = jac[row[k], rows]
-            if rs == sign:
-                np.multiply(u, self.log_abs_risky[rows], out=out)
-                if ss == sign:
-                    out -= np.multiply(v, self.log_abs_safe[rows], out=self._aux[rows])
-            else:
-                np.multiply(v, self.log_abs_safe[rows], out=out)
-                np.negative(out, out=out)
-        if 2 in row and -1 in (rs, ss):
-            out = jac[row[2], rows]
-            if rs < 0 and ss < 0:
-                np.subtract(u, v, out=out)
-            elif rs < 0:
-                np.copyto(out, u)
-            else:
-                np.negative(v, out=out)
 
-
-def _branch_value(sign: int, log_abs, alpha, beta, lam, out, q=None) -> None:
-    """Write v(x) for payoffs of one sign into out, given log|x|; times
-    exp(-q) when q is given."""
+def _branch_value(theta, sign: int, enters: dict, log_abs, out, q) -> None:
+    """Write v(x) for the payoffs of one sign into out, given log|x| and the
+    coordinate of each kind that the payoff enters (see _enters): exp(a log|x|)
+    for its exponent a, times exp(-q) when it enters the weight, times the
+    sign and its linear coordinate."""
     if sign == 0:
         out[:] = 0.0
         return
-    np.multiply(log_abs, alpha if sign > 0 else beta, out=out)
-    if q is not None:
+    np.multiply(log_abs, theta[enters[_POWER]], out=out)
+    if _WEIGHT in enters:
         out -= q
     np.exp(out, out=out)
-    if sign < 0:
-        out *= -lam
+    multiplier = sign * theta[enters[_LINEAR]] if _LINEAR in enters else sign
+    if multiplier != 1:
+        out *= multiplier
 
 
 def _upper_bounds(gamma_max: float) -> tuple[float | None, ...]:

@@ -213,6 +213,28 @@ class TestEvaluate:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    def test_missing_model_file(self, dataset_csv, tmp_path, capsys):
+        assert run_cli("evaluate", str(tmp_path / "nope.json"), str(dataset_csv)) == 2
+        assert "model file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"model": "tree", "features": ["intercept"], "coeffs": [0.5]}, "unknown model kind"),
+            (
+                {"model": "symbolic", "features": ["intercept", "frame"], "coeffs": [0.5]},
+                "lengths differ",
+            ),
+        ],
+        ids=["unknown_kind", "length_mismatch"],
+    )
+    def test_ill_formed_model_document(self, dataset_csv, tmp_path, capsys, doc, message):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_unknown_feature_name_is_input_error(self, dataset_csv, tmp_path):
         model_path = tmp_path / "weird.json"
         model_path.write_text(
@@ -348,6 +370,19 @@ class TestExperiment:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json")) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "config file unreadable"), ("[1, 2]", "must hold a JSON object")],
+        ids=["unreadable", "not_an_object"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc, flags",

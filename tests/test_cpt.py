@@ -9,6 +9,7 @@ from scipy.special import logit
 
 from riskchoice import (
     CptParams,
+    EstimationError,
     InputError,
     choice_prob_array,
     cpt,
@@ -220,14 +221,33 @@ class TestLogLikelihood:
                 assert worse < base, f"param {PARAM_NAMES[i]} factor {factor}"
 
 
+def with_payoffs(arrays, safe, risky):
+    """Copy of arrays with the given payoff columns."""
+    return ScenarioArrays(
+        id=arrays.id, safe=safe, risky=risky, p=arrays.p, frame=arrays.frame, choice=arrays.choice
+    )
+
+
 def with_zero_payoffs(arrays):
     """Copy of arrays with some payoffs set to exactly 0 (the zero branch)."""
     safe = arrays.safe.copy()
     risky = arrays.risky.copy()
     safe[::7] = 0.0
     risky[::11] = 0.0
+    return with_payoffs(arrays, safe, risky)
+
+
+def sized(n, safe, risky):
+    """n scenarios with the given payoffs (scalars or arrays), p drawn from
+    (0.1, 0.9) and alternating choices."""
+    rng = np.random.Generator(np.random.PCG64(0))
     return ScenarioArrays(
-        id=arrays.id, safe=safe, risky=risky, p=arrays.p, frame=arrays.frame, choice=arrays.choice
+        id=np.arange(n),
+        safe=np.broadcast_to(np.asarray(safe, dtype=float), n).copy(),
+        risky=np.broadcast_to(np.asarray(risky, dtype=float), n).copy(),
+        p=rng.uniform(0.1, 0.9, n),
+        frame=np.ones(n, dtype=np.int64),
+        choice=np.arange(n, dtype=np.int64) % 2,
     )
 
 
@@ -242,6 +262,10 @@ REFERENCE_DATA = {
     "gain_only_zero_payoffs": with_zero_payoffs(simulate(TRUE, 300, seed=18)),
     "mixed_sign_zero_payoffs": with_zero_payoffs(simulate(TRUE, 300, seed=19, mixed_sign=True)),
 }
+# layouts where alpha (no gain) or gamma (no nonzero risky payoff) is unidentified
+_gains, _mixed = simulate(TRUE, 300, seed=20), simulate(TRUE, 300, seed=21, mixed_sign=True)
+REFERENCE_DATA["loss_only"] = with_payoffs(_gains, -_gains.safe, -_gains.risky)
+REFERENCE_DATA["zero_risky"] = with_payoffs(_mixed, _mixed.safe, np.zeros(300))
 REFERENCE_PREPARED = {name: _Prepared(arrays) for name, arrays in REFERENCE_DATA.items()}
 
 
@@ -314,6 +338,30 @@ interior_params = st.tuples(
 )
 
 
+SIGN_PAIRS = [(rs, ss) for rs in (-1, 0, 1) for ss in (-1, 0, 1)]
+
+
+@st.composite
+def sign_layouts(draw):
+    """Scenarios from a nonempty subset of the nine (risky sign, safe sign)
+    blocks, 1 to 12 rows each, in shuffled order."""
+    pairs = draw(st.lists(st.sampled_from(SIGN_PAIRS), min_size=1, max_size=9, unique=True))
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(pairs), max_size=len(pairs)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    risky_sign = np.repeat([rs for rs, _ in pairs], counts)
+    safe_sign = np.repeat([ss for _, ss in pairs], counts)
+    n = risky_sign.size
+    order = rng.permutation(n)
+    return ScenarioArrays(
+        id=np.arange(n),
+        safe=(safe_sign * rng.uniform(0.5, 100.0, n))[order],
+        risky=(risky_sign * rng.uniform(0.5, 150.0, n))[order],
+        p=rng.uniform(0.1, 0.9, n),
+        frame=np.ones(n, dtype=np.int64),
+        choice=rng.integers(0, 2, n),
+    )
+
+
 def central_differences(f, theta, rel_step=1e-5):
     """Central differences of f (scalar- or vector-valued) at theta, one
     column per coordinate."""
@@ -372,6 +420,23 @@ class TestGradient:
         unidentified = ~prep.identified
         assert not np.any(got_grad[unidentified]) and not np.any(got_hess[unidentified])
         assert not np.any(got_hess[:, unidentified])
+
+    @settings(max_examples=300)
+    @given(layout=sign_layouts(), theta=interior_params)
+    def test_identified_follows_the_payoff_signs(self, layout, theta):
+        # alpha needs a gain, beta and lambda a loss, gamma a nonzero risky
+        # payoff and eta any nonzero payoff; every other gradient and Hessian
+        # entry is exactly 0
+        prep = _Prepared(layout)
+        payoffs = np.concatenate([layout.risky, layout.safe])
+        gain, loss = bool(np.any(payoffs > 0.0)), bool(np.any(payoffs < 0.0))
+        expected = [gain, loss, loss, bool(np.any(layout.risky != 0.0)), gain or loss]
+        assert prep.identified.tolist() == expected
+        _, grad, hess = prep.derivatives(np.array(theta))
+        unidentified = ~prep.identified
+        assert not np.any(grad[unidentified]) and not np.any(hess[unidentified])
+        assert not np.any(hess[:, unidentified])
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
 
     @pytest.mark.parametrize("mixed_sign", [True, False], ids=["mixed_sign", "gain_only"])
     def test_pass_allocates_no_row_length_array(self, mixed_sign):
@@ -678,6 +743,42 @@ class TestFit:
             fit_cpt(arrays, n_restarts=0)
         with pytest.raises(InputError):
             fit_cpt(arrays, gamma_max=0.0)
+
+    def test_empty_dataset_is_input_error(self):
+        empty = sized(0, 1.0, 1.0)
+        with pytest.raises(InputError, match="at least one scenario"):
+            fit_cpt(empty)
+        with pytest.raises(InputError, match="at least one scenario"):
+            cpt_log_likelihood(TRUE, empty)
+
+    def test_no_restart_converges(self, monkeypatch):
+        # one pass per restart: each stops at its start point, unconverged
+        monkeypatch.setattr(cpt, "_MAX_PASSES", 1)
+        with pytest.raises(EstimationError, match="none of the 3 restarts converged") as err:
+            fit_cpt(simulate(TRUE, 200, seed=23, mixed_sign=True), n_restarts=3)
+        assert [(r.converged, r.n_evals) for r in err.value.restart_log] == [(False, 1)] * 3
+
+    def test_non_finite_pass(self):
+        # dz/dalpha = eta ln|x| x^alpha overflows
+        prep = _Prepared(sized(4, 1e300, 1e300))
+        value, grad, hess = prep._pass([1.0, 1.0, 1.0, 1.0, 1e10])
+        assert value == math.inf
+        assert all(math.isnan(v) for v in grad + hess) and (len(grad), len(hess)) == (5, 25)
+
+    def test_zero_payoffs_identify_nothing(self):
+        fit = fit_cpt(sized(30, 0.0, 0.0), n_restarts=2)
+        assert fit.std_errors == (None,) * 5
+        assert fit.information_singular
+        assert fit.log_likelihood == pytest.approx(30 * math.log(0.5), rel=1e-15)
+        assert all(r.converged and r.n_evals == 1 for r in fit.restart_log)
+
+    def test_newton_stops_at_the_pass_limit(self, monkeypatch):
+        monkeypatch.setattr(cpt, "_MAX_PASSES", 3)
+        prep = _Prepared(simulate(TRUE, 500, seed=22, mixed_sign=True))
+        start = cpt._to_unconstrained((0.3, 0.3, 1.0, 0.5, 0.05), cpt.DEFAULT_GAMMA_MAX)
+        _, value, converged, passes = cpt._newton(prep, start, cpt.DEFAULT_GAMMA_MAX)
+        assert (converged, passes) == (False, 3)
+        assert math.isfinite(value)
 
     def test_serialization(self, gain_fit):
         fit, _ = gain_fit
