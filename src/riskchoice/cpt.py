@@ -184,8 +184,9 @@ class _Prepared:
         self.n = n = len(arrays)
         if n == 0:
             raise InputError("the likelihood needs at least one scenario")
-        risky_sign = np.sign(arrays.risky).astype(np.int64)
-        safe_sign = np.sign(arrays.safe).astype(np.int64)
+        # int8 keys: numpy sorts small integer types by radix
+        risky_sign = np.sign(arrays.risky).astype(np.int8)
+        safe_sign = np.sign(arrays.safe).astype(np.int8)
         order = np.argsort(3 * risky_sign + safe_sign, kind="stable")
         risky_sign = risky_sign[order]
         safe_sign = safe_sign[order]
@@ -724,9 +725,12 @@ def _trust_region_step(eig: list[float], proj: list[float], radius: float) -> li
         if length <= radius * (1.0 + 1e-3):
             break
         # scaled by the step's length, so that no square underflows
-        mu += (length / radius - 1.0) / sum(
-            (s / length) * (s / length) / (e + mu) for s, e in zip(step, eig)
-        )
+        slope = sum((s / length) * (s / length) / (e + mu) for s, e in zip(step, eig))
+        # 0 or not finite where every component of the step over/underflows:
+        # Newton's method on mu has no step to take
+        if not 0.0 < slope < math.inf:
+            break
+        mu += (length / radius - 1.0) / slope
     return step
 
 

@@ -125,6 +125,25 @@ class TestFit:
         assert set(("alpha", "beta", "lambda", "gamma", "eta")) <= set(doc)
         assert len(doc["restarts"]) == 3
 
+    def test_cpt_fit_on_overflowing_payoffs_exits_cleanly(self, tmp_path):
+        # payoffs near 1e300 drive the trust-region step's mu update to a zero
+        # slope; the CLI must report a fit or a numerical error, not crash
+        rng = np.random.default_rng(0)
+        n = 40
+        data = ScenarioArrays(
+            id=np.arange(n),
+            safe=rng.uniform(0.5e300, 1e300, n),
+            risky=rng.uniform(0.5e300, 1e300, n),
+            p=rng.uniform(0.1, 0.9, n),
+            frame=np.ones(n, dtype=np.int64),
+            choice=rng.integers(0, 2, n),
+        )
+        path = tmp_path / "huge.csv"
+        write_dataset_csv(data, path)
+        assert "e+299" in path.read_text()
+        code = run_cli("fit", "cpt", str(path), "--restarts", "3", "--out", str(tmp_path))
+        assert code in (0, 3)
+
     def test_missing_probability_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,safe,risky,frame,choice\n0,1,2,1,0\n")

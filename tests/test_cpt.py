@@ -251,6 +251,19 @@ def sized(n, safe, risky):
     )
 
 
+def huge_gain_data(n=40):
+    """Gain-only scenarios with both payoffs uniform in (0.5e300, 1e300)."""
+    rng = np.random.default_rng(0)
+    return ScenarioArrays(
+        id=np.arange(n),
+        safe=rng.uniform(0.5e300, 1e300, n),
+        risky=rng.uniform(0.5e300, 1e300, n),
+        p=rng.uniform(0.1, 0.9, n),
+        frame=np.ones(n, dtype=np.int64),
+        choice=rng.integers(0, 2, n),
+    )
+
+
 GRADIENT_DATA = {
     "gain_only": _Prepared(simulate(TRUE, 400, seed=12)),
     "mixed_sign": _Prepared(with_zero_payoffs(simulate(TRUE, 400, seed=13, mixed_sign=True))),
@@ -460,6 +473,27 @@ class TestGradient:
         assert first[0] == again[0]
         np.testing.assert_array_equal(first[1], again[1])
         np.testing.assert_array_equal(first[2], again[2])
+
+    @settings(max_examples=100)
+    @given(
+        signs=st.lists(
+            st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0])),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_row_order_is_the_stable_sort_of_the_sign_key(self, signs):
+        risky, safe = (np.array(col) * (1.0 + np.arange(len(signs))) for col in zip(*signs))
+        arrays = ScenarioArrays(
+            id=np.arange(len(signs)), safe=safe, risky=risky,
+            p=np.linspace(0.1, 0.9, len(signs)), frame=np.ones(len(signs), dtype=np.int64),
+            choice=np.zeros(len(signs), dtype=np.int64),
+        )
+        key = 3 * np.sign(risky).astype(np.int64) + np.sign(safe).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        prep = _Prepared(arrays)
+        # p differs on every row, so this pins the whole permutation
+        np.testing.assert_array_equal(prep.loglogp, np.log(-np.log(arrays.p[order])))
 
     def test_blocks_are_contiguous_by_sign(self):
         assert [b[1:] for b in GRADIENT_DATA["gain_only"].blocks] == [(1, 1)]
@@ -757,6 +791,15 @@ class TestFit:
         with pytest.raises(EstimationError, match="none of the 3 restarts converged") as err:
             fit_cpt(simulate(TRUE, 200, seed=23, mixed_sign=True), n_restarts=3)
         assert [(r.converged, r.n_evals) for r in err.value.restart_log] == [(False, 1)] * 3
+
+    def test_steps_whose_length_overflows_end_in_a_result(self):
+        # payoffs near 1e300 drive the trust-region step's mu update to a
+        # zero slope; the fit must still return or raise EstimationError
+        try:
+            fit = fit_cpt(huge_gain_data(), n_restarts=3)
+        except EstimationError:
+            return
+        assert math.isfinite(fit.log_likelihood)
 
     def test_non_finite_pass(self):
         # dz/dalpha = eta ln|x| x^alpha overflows

@@ -6,6 +6,7 @@ import math
 import tempfile
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -510,3 +511,214 @@ def test_malformed_line_is_named(row, kind, pick, blank_before):
             code = main(["fit", "symbolic", str(path), "--out", tmp])
         assert code == 2
         assert f"line {bad_line}: " in stderr.getvalue()
+
+
+# --- the reader's numpy kernel against the line-by-line parser ---
+
+
+def reference_read(path):
+    """What reading ``path`` gives by the line-by-line parser alone: its
+    columns, or the message of the DataParseError it raises."""
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        return "non-ASCII"
+    try:
+        return scenario_module._parse_lines(text)
+    except DataParseError as exc:
+        return str(exc)
+
+
+def assert_reads_as_the_line_parser(path):
+    want = reference_read(path)
+    try:
+        got = read_dataset_csv(path)
+    except DataParseError as exc:
+        assert isinstance(want, str), exc
+        if want == "non-ASCII":
+            assert "non-ASCII byte" in str(exc)
+        else:
+            assert str(exc) == want
+    else:
+        assert not isinstance(want, str), want
+        assert_same_columns(got, want)
+
+
+def decimal_spelling(digits, point, negative):
+    text = digits if point is None else digits[:point] + "." + digits[point:]
+    return "-" * negative + text
+
+
+# fixed-notation decimals of 1 to 30 digits with or without a point, in and
+# past the kernel's 24-byte window
+decimals = st.builds(
+    decimal_spelling,
+    st.text("0123456789", min_size=1, max_size=30),
+    st.none() | st.integers(0, 30),
+    st.booleans(),
+)
+odd_floats = st.one_of(
+    decimals,
+    st.floats().map(lambda x: f"{x:e}"),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e-5, max_value=1e-5).map(
+        lambda x: f"{x:.30f}"
+    ),
+    st.sampled_from(
+        [
+            "-0.0", "0", "-0", "0.", ".5", "-.5", ".", "-", "", "--1", "1-", "1.2.3", "1..2",
+            "5e-324", "2.2250738585072014e-308", "1e16", "12345678901234567890.5",
+            "1.2345678901234567890123", "9007199254740993", "1_0.5", "+1", " 1", "1 ",
+            "inf", "-inf", "nan", "0x1f", "abc", "٣", "1é", "1/2",
+        ]
+    ),
+)
+odd_ints = st.one_of(
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(
+        [
+            str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), "-0", "007",
+            "1_0", "+1", " 1", "1.0", "", "-", "1e3", "99999999999999999999",
+            "000000000000000000000001",
+        ]
+    ),
+)
+good_rows = st.tuples(
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    payoffs.map(lambda x: format(x, ".17g")),
+    payoffs.map(lambda x: format(x, ".17g")),
+    probabilities.map(lambda x: format(x, ".17g")),
+    st.sampled_from(["-1", "1"]),
+    st.sampled_from(["0", "1"]),
+).map(list)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: writer-style rows with a few fields, line breaks or the
+    header spelled otherwise."""
+    rows = draw(st.lists(good_rows, min_size=1, max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+        rows[row][col] = draw(odd_floats if col in (1, 2, 3) else odd_ints)
+    header = draw(
+        st.sampled_from([",".join(CSV_HEADER)] * 4 + ["id, safe,risky,p,frame,choice", "ID,safe"])
+    )
+    lines = [header] + [",".join(row) for row in rows]
+    breaks = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        breaks[draw(st.integers(0, len(lines) - 1))] = draw(
+            st.sampled_from(["\r\n", "\n\n", "\n  \n", "\x0c", "\r", "\n\x0b\n", ",\n"])
+        )
+    if draw(st.booleans()) and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + end for line, end in zip(lines, breaks)).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(raw=csv_files(), block=st.sampled_from([None, 64, 200]))
+@example(raw=(",".join(CSV_HEADER) + "\n1,1.2.3,2,0.5,1,0\n").encode(), block=None)
+@example(raw=(",".join(CSV_HEADER) + "\n1,1.5,2,0.5,1,0").encode(), block=None)
+def test_reader_matches_the_line_parser(raw, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(raw)
+        saved = scenario_module._READ_BLOCK_BYTES
+        scenario_module._READ_BLOCK_BYTES = block or saved
+        try:
+            assert_reads_as_the_line_parser(path)
+        finally:
+            scenario_module._READ_BLOCK_BYTES = saved
+
+
+def test_two_points_are_a_parse_error(tmp_path):
+    path = tmp_path / "d.csv"
+    for field in ("1.2.3", "12.34.", ".1.", "0.5.5"):
+        path.write_text(f"id,safe,risky,p,frame,choice\n0,1,2,0.5,1,0\n1,{field},2,0.5,1,0\n")
+        with pytest.raises(DataParseError, match="^line 3: could not convert string to float"):
+            read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("block", [None, 64, 1000])
+def test_writer_output_takes_the_numpy_path(tmp_path, monkeypatch, block):
+    def line_parser(text):
+        raise AssertionError("the file went to the line parser")
+
+    monkeypatch.setattr(scenario_module, "_parse_lines", line_parser)
+    if block:
+        monkeypatch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
+    rng = np.random.Generator(np.random.PCG64(8))
+    data = generate_dataset(GeneratorConfig(n=3000, seed=4))
+    # negative ids, payoffs and values the writer spells in e-notation
+    # (converted field by field)
+    n = 300
+    odd = make_arrays(
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, 20.0, n),
+        np.resize([0.0, -0.0, 5e-324, 1e-7, -1e300, 123.0, 4.5e15], n),
+        rng.uniform(1e-9, 1.0, n),
+        rng.choice([-1, 1], n),
+        rng.integers(0, 2, n),
+    )
+    odd = replace(odd, id=rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64))
+    for arrays in (data, odd):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(arrays, path)
+        assert_same_columns(read_dataset_csv(path), arrays)
+
+
+def decimal_to_float(digits, e):
+    return scenario_module._decimal_to_float(
+        np.array(digits, np.uint64), np.array(e, np.intp)
+    )
+
+
+def midpoint_cases(count, seed):
+    """(D, e) with D * 10**-e exactly halfway between two adjacent floats,
+    and its neighbours D - 1 and D + 1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cases = []
+    while len(cases) < 3 * count:
+        k = int(rng.integers(-30, 12))
+        m = int(rng.integers(2**52, 2**53))
+        half = Fraction(2 * m + 1, 2) * Fraction(2) ** k
+        for e in range(25):
+            scaled = half * 10**e
+            if scaled.denominator == 1 and scaled.numerator < 2**64 - 1:
+                cases += [(scaled.numerator + d, e) for d in (-1, 0, 1)]
+                break
+    return cases
+
+
+def near_midpoint_cases(count, seed):
+    """(D, e) with D the integers just below and just above 10**e times a
+    midpoint between two adjacent floats near 10**(18 - e): decimals this
+    close to a tie are the products that need the table entry's lower word."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cases = []
+    for _ in range(count):
+        e = int(rng.integers(0, 25))
+        m = int(rng.integers(2**52, 2**53))
+        # a float with 19 significant decimal digits at exponent -e
+        k = math.floor(math.log2(10**18 / 10**e)) - 52 + int(rng.integers(-2, 3))
+        exact = (Fraction(2 * m + 1, 2) * Fraction(2) ** k) * 10**e
+        low = exact.numerator // exact.denominator
+        if 0 < low < 2**64 - 1:
+            cases += [(low, e), (low + 1, e)]
+    return cases
+
+
+def test_decimal_rounding_matches_float():
+    cases = [(9007199254740993, 0), (9007199254740995, 0), (45035996273704965, 1), (1, 0)]
+    cases += [(2**64 - 1, e) for e in range(25)] + [(1, e) for e in range(25)]
+    cases += midpoint_cases(2000, seed=1) + near_midpoint_cases(4000, seed=2)
+    digits, e = map(list, zip(*cases))
+    got = decimal_to_float(digits, e)
+    want = [float(f"{d}e-{x}") for d, x in cases]
+    assert got[0] == 2.0**53
+    bad = [(c, g, w) for c, g, w in zip(cases, got.tolist(), want) if g != w]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=300)
+@given(digits=st.integers(1, 2**64 - 1), e=st.integers(0, 24))
+def test_decimal_rounding_property(digits, e):
+    assert decimal_to_float([digits], [e])[0] == float(f"{digits}e-{e}")
