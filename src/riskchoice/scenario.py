@@ -487,6 +487,7 @@ _WINDOW_BYTES = 8 * _WINDOW_WORDS
 _ZEROS = 0x3030303030303030
 _LOW7 = 0x7F7F7F7F7F7F7F7F
 _HIGH = 0x8080808080808080
+_BYTE_ONES = 0x0101010101010101
 _POINTS = 0x1E1E1E1E1E1E1E1E  # "." ^ "0" in every byte
 _TENS = 0x7676767676767676  # adding it sets the top bit of each byte from 10 up
 # FIELD_KEEP[j][n]: the part of window word j that the window's last n bytes
@@ -635,8 +636,14 @@ def _parse_floats(buf, starts, ends):
     down = x >> 8
     down[:-1] |= x[1:] << 56
     x ^= (x ^ down) & above
-    count = np.bitwise_count(above)
-    e = (count[0] + count[1] + count[2]) >> 3
+    # e counts the bytes of ``above``: a 1 in each, summed over the words,
+    # then over a word's eight bytes by one multiply
+    flags = above & _HIGH
+    flags >>= 7
+    e = flags[0] + flags[1]
+    e += flags[2]
+    e *= _BYTE_ONES
+    e >>= 56
     ok, w, top = _digits(x)
     # a digit besides the point, and a number below 1844 * 10**16 < 2**64
     ok &= (width > (e > 0)) & (width <= _WINDOW_BYTES) & (top < 1844)
@@ -657,7 +664,7 @@ def _convert_fields(buf, starts, ends, ok, values, convert) -> None:
 def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
     """The columns of the CSV bytes buf[:size], or _Unparsed when a line
     needs _parse_lines. buf has one byte of room after them."""
-    if buf[: len(_HEADER_LINE)].tobytes() != _HEADER_LINE or size == len(_HEADER_LINE):
+    if size <= len(_HEADER_LINE) or buf[: len(_HEADER_LINE)].tobytes() != _HEADER_LINE:
         raise _Unparsed
     if buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")
@@ -721,7 +728,9 @@ def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     float() or int() on its own. Any other file (the header spelled
     otherwise, a space, "\\r", a blank line, a field neither function
     takes, or a row that breaks a :class:`ScenarioArrays` rule) is parsed
-    line by line: blank lines are skipped, and the first bad line raises
+    line by line (so a file with "\\r\\n" line ends, which the writer never
+    emits, reads about five times slower than the same rows with "\\n"
+    ends): blank lines are skipped, and the first bad line raises
     :class:`DataParseError` naming its line number. A non-ASCII byte is
     reported before any other fault.
     """

@@ -630,6 +630,18 @@ def test_reader_matches_the_line_parser(raw, block):
             scenario_module._READ_BLOCK_BYTES = saved
 
 
+def test_header_alone_has_no_rows_whatever_follows_the_file(tmp_path):
+    header = ",".join(CSV_HEADER).encode()
+    path = tmp_path / "d.csv"
+    path.write_bytes(header)
+    with pytest.raises(DataParseError, match="^line 1: dataset has a header but no rows$"):
+        read_dataset_csv(path)
+    # the spare byte after the file is not part of it, even where it reads "\n"
+    buf = np.frombuffer(header + b"\n", np.uint8).copy()
+    with pytest.raises(scenario_module._Unparsed):
+        scenario_module._read_columns(buf, len(header))
+
+
 def test_two_points_are_a_parse_error(tmp_path):
     path = tmp_path / "d.csv"
     for field in ("1.2.3", "12.34.", ".1.", "0.5.5"):
