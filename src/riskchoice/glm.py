@@ -1,7 +1,10 @@
 """Maximum-likelihood logistic regression, written from scratch.
 
 Fitting is Newton/IRLS with a step-halving line search on the penalized
-log-likelihood. The optional L2 penalty never touches the intercept, which by
+log-likelihood. It stops on half the Newton decrement, as the CPT fit does
+(Boyd & Vandenberghe, Convex Optimization, 9.5.1): that test does not depend
+on the columns' scales, and its rounding floor stays far below the tolerance
+at any n. The optional L2 penalty never touches the intercept, which by
 convention is column 0 of the design matrix. The covariance of the estimates
 is the inverse of the negative penalized Hessian at the optimum.
 
@@ -204,23 +207,22 @@ def fit_logistic(
 ) -> FittedLogistic:
     """Fit a logistic regression by Newton/IRLS.
 
-    Maximizes the log-likelihood minus (l2_strength/2) times the squared norm
-    of the non-intercept coefficients. Convergence means the gradient
-    max-norm fell below ``tol`` within the fixed cap of 100 Newton steps
-    (``DEFAULT_MAX_ITER``); each step is halved until the penalized
-    objective does not decrease, and a step that no halving makes
-    non-decreasing ends the fit, counted as a step.
+    Maximizes the log-likelihood minus (l2_strength/2) times the weighted
+    squared norm of the non-intercept coefficients. Each Newton step is
+    halved until the penalized objective does not decrease; a step that no
+    halving makes non-decreasing ends the fit. The fit has converged once
+    half the Newton decrement of the summed objective, g'(-H)^-1 g / 2, is
+    at most ``tol``; one last full step is then kept if it does not lower
+    the objective. Every step counts, the last included, up to the cap of
+    100 (``DEFAULT_MAX_ITER``).
 
     Each line-search candidate costs one blocked pass over the rows that
-    gives its log-likelihood, gradient and Hessian together; the accepted
-    candidate keeps its gradient and Hessian, so a Newton step normally
-    costs one pass. A pass holds only one block's temporaries; the fit
-    copies the design only to standardize it, when asked.
+    gives its log-likelihood, gradient and Hessian together, and a pass
+    holds only one block's temporaries.
 
-    With ``standardize=True`` the non-intercept columns are centered and
-    scaled before fitting and the estimates (and covariance) are mapped back
-    to the original scale, which helps when raw columns differ by orders of
-    magnitude. Reported probabilities are unaffected.
+    The penalty weights are 1, or with ``standardize=True`` each column's
+    variance (1 for a constant column): ridge on centered, scaled columns,
+    stated on the raw ones. Without a penalty the flag changes nothing.
 
     Raises
     ------
@@ -230,6 +232,8 @@ def fit_logistic(
         "possible separation" diagnostic.
     """
     X, y, _ = _check_inputs(X, y, l2_strength)
+    if not 0.0 <= tol < np.inf:
+        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
     n, k = X.shape
     if not np.all(np.isfinite(X)):
         raise InputError("X must be finite")
@@ -242,28 +246,20 @@ def fit_logistic(
     else:
         feature_names = tuple(f"x{j}" for j in range(k))
 
-    if standardize:
-        means = X.mean(axis=0)
-        scales = X.std(axis=0)
-        means[0] = 0.0
-        scales[0] = 1.0
-        scales[scales == 0.0] = 1.0
-        X_fit = (X - means) / scales
-    else:
-        X_fit = X
-
     mask = _penalty_mask(k)
+    if standardize:
+        variances = X.var(axis=0)
+        variances[variances == 0.0] = 1.0
+        mask *= variances
     beta = np.zeros(k)
     # every exit leaves ll, grad and hess evaluated at the final beta
-    ll, grad, hess = _pass(beta, X_fit, y, l2_strength, mask)
+    ll, grad, hess = _pass(beta, X, y, l2_strength, mask)
     obj = _penalized(ll, beta, l2_strength, mask)
     iterations = 0
+    converged = False
     diagnostics: list[str] = []
 
     while True:
-        converged = bool(np.max(np.abs(grad)) < tol)
-        if converged or iterations == DEFAULT_MAX_ITER:
-            break
         info = -hess
         try:
             step = np.linalg.solve(info, grad)
@@ -272,7 +268,7 @@ def fit_logistic(
         if step is None or not np.all(np.isfinite(step)):
             # unpenalized separation can round every weight mu(1 - mu) to 0;
             # the separation check after the loop reports it
-            if l2_strength == 0.0 and _separates(X_fit, y, beta):
+            if l2_strength == 0.0 and _separates(X, y, beta):
                 break
             cond = np.linalg.cond(info)
             if step is None:
@@ -283,14 +279,19 @@ def fit_logistic(
             raise NumericalError(
                 f"non-finite Newton step (condition number {cond:.3g})"
             )
+        converged = bool(0.5 * (grad @ step) <= tol)
+        if iterations == DEFAULT_MAX_ITER:
+            break
 
         # halve the step until the penalized objective stops decreasing; a
-        # step that no halving improves still counts, and ends the fit
+        # step that no halving improves still counts, and ends the fit. Once
+        # converged, one last full step, which near the optimum squares the
+        # remaining error, is kept if it does not lower the objective
         iterations += 1
         t = 1.0
-        for _ in range(40):
+        for _ in range(1 if converged else 40):
             candidate = beta + t * step
-            at_candidate = _pass(candidate, X_fit, y, l2_strength, mask)
+            at_candidate = _pass(candidate, X, y, l2_strength, mask)
             new_obj = _penalized(at_candidate[0], candidate, l2_strength, mask)
             if new_obj >= obj:
                 break
@@ -299,12 +300,14 @@ def fit_logistic(
             break
         beta, obj = candidate, new_obj
         ll, grad, hess = at_candidate
+        if converged:
+            break
 
     # all margins strictly positive with no penalty means every observation
     # sits on the correct side: the likelihood improves without bound along
     # the separating direction, so a small gradient there is saturation, not
     # a maximum
-    if l2_strength == 0.0 and _separates(X_fit, y, beta):
+    if l2_strength == 0.0 and _separates(X, y, beta):
         converged = False
         diagnostics.append(
             "possible separation: all observations classified perfectly, "
@@ -319,19 +322,6 @@ def fit_logistic(
     except np.linalg.LinAlgError:
         cov = None
         diagnostics.append("covariance unavailable: singular information matrix")
-
-    if standardize:
-        # map back to the original scale: beta_std applies to (x - m)/s
-        transform = np.eye(k)
-        for j in range(1, k):
-            transform[j, j] = 1.0 / scales[j]
-            transform[0, j] = -means[j] / scales[j]
-        beta = transform @ beta
-        if cov is not None:
-            cov = transform @ cov @ transform.T
-            cov = (cov + cov.T) / 2.0
-        # the reported log-likelihood is that of the original design
-        ll = _pass(beta, X, y, 0.0, mask)[0]
 
     return FittedLogistic(
         feature_names=feature_names,

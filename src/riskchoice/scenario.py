@@ -477,6 +477,7 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
 # Any other field is converted on its own by float() or _int64(), as
 # _parse_lines converts it.
 _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode("ascii")
+_HEADER_CRLF = _HEADER_LINE[:-1] + b"\r\n"
 _LINE_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
 # Bytes parsed at a time. A block's temporaries go back to the heap, which the
 # caller's later work reuses; with 512 KiB blocks a read of 1M rows took 9%
@@ -664,12 +665,15 @@ def _convert_fields(buf, starts, ends, ok, values, convert) -> None:
 def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
     """The columns of the CSV bytes buf[:size], or _Unparsed when a line
     needs _parse_lines. buf has one byte of room after them."""
-    if size <= len(_HEADER_LINE) or buf[: len(_HEADER_LINE)].tobytes() != _HEADER_LINE:
+    # the header may end in "\r\n", as any line may
+    head = buf[: min(size, len(_HEADER_CRLF))].tobytes()
+    start = next((len(h) for h in (_HEADER_LINE, _HEADER_CRLF) if head.startswith(h)), size)
+    if size <= start:
         raise _Unparsed
     if buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")
         size += 1
-    start, span = len(_HEADER_LINE), _READ_BLOCK_BYTES
+    span = _READ_BLOCK_BYTES
     # every line ends in the one "\n" it holds, so the columns are allocated
     # at their length up front, and no block's results wait to be joined
     lines = sum(
@@ -682,10 +686,13 @@ def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
         stop = min(start + span, size)
         seps = np.flatnonzero(buf[start:stop] <= ord(",")) + start
         kinds = buf[seps]
-        # a "+" (the sign of an exponent, as in 1e+300) belongs to its field
-        plus = kinds == ord("+")
-        if plus.any():
-            seps, kinds = seps[~plus], kinds[~plus]
+        # a "+" (the sign of an exponent, as in 1e+300) belongs to its field,
+        # and a "\r" just before a "\n" to its line end
+        cr = kinds == ord("\r")
+        cr[cr] = buf[seps[cr] + 1] == ord("\n")
+        drop = cr | (kinds == ord("+"))
+        if drop.any():
+            seps, kinds = seps[~drop], kinds[~drop]
         rows = seps.size // len(CSV_HEADER)
         if stop == size and seps.size % len(CSV_HEADER):
             raise _Unparsed
@@ -700,6 +707,10 @@ def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
         starts[1:] = ends[:-1] + 1
         starts[0, 0] = start
         starts[0, 1:] = ends[-1, :-1] + 1
+        start = int(ends[-1, -1]) + 1
+        if cr.any():
+            # a line's last field ends before its "\r\n"
+            ends[-1] -= buf[ends[-1] - 1] == ord("\r")
         # id; the three float columns in one pass; frame and choice in one
         for cols, parse, convert in (
             (slice(0, 1), partial(_parse_ints, words=_WINDOW_WORDS), _int64),
@@ -712,27 +723,24 @@ def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
             for name, part in zip(CSV_HEADER[cols], values.reshape(-1, rows)):
                 columns[name][done : done + rows] = part
         done += rows
-        start = int(ends[-1, -1]) + 1
     return columns
 
 
 def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     """Load and validate a scenario CSV written by :func:`write_dataset_csv`.
 
-    The file is read once. When its first line is exactly the writer's
-    header and every later line holds six comma-separated fields with no
-    byte below "," other than a "+" inside a field, the fields are parsed
-    in numpy: a field that is an optional "-" and digits with at most one
-    point is converted exactly (eight digits per word operation, then the
-    Eisel-Lemire step rounds each float correctly), and any other field by
-    float() or int() on its own. Any other file (the header spelled
-    otherwise, a space, "\\r", a blank line, a field neither function
-    takes, or a row that breaks a :class:`ScenarioArrays` rule) is parsed
-    line by line (so a file with "\\r\\n" line ends, which the writer never
-    emits, reads about five times slower than the same rows with "\\n"
-    ends): blank lines are skipped, and the first bad line raises
-    :class:`DataParseError` naming its line number. A non-ASCII byte is
-    reported before any other fault.
+    The file is read once. When its first line is the writer's header and
+    every later line holds six comma-separated fields with no byte below ","
+    other than a "+" inside a field (any line may end in "\\r\\n" instead of
+    "\\n"), the fields are parsed in numpy: a field that is an optional "-"
+    and digits with at most one point is converted exactly (eight digits per
+    word operation, then the Eisel-Lemire step rounds each float correctly),
+    and any other field by float() or int() on its own. Any other file (the
+    header spelled otherwise, a space, a "\\r" that no "\\n" follows, a blank
+    line, a field neither function takes, or a row that breaks a
+    :class:`ScenarioArrays` rule) is parsed line by line: blank lines are
+    skipped, and the first bad line raises :class:`DataParseError` naming
+    its line number. A non-ASCII byte is reported before any other fault.
     """
     path = Path(path)
     if not path.exists():

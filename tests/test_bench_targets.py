@@ -1,5 +1,7 @@
 """The benchmark's traced runs patch program names by attribute; each must
-resolve, so that a rename fails here and not only in the bench self-test."""
+resolve, so that a rename fails here and not only in the bench self-test.
+Each workload's tiny iteration must also pass the benchmark's own checks, so
+that a program change that breaks them fails here too."""
 
 import importlib.util
 import sys
@@ -32,3 +34,11 @@ def test_every_trace_target_resolves_to_a_callable(workloads):
         assert targets, name
         for owner, attr, span in targets:
             assert callable(getattr(owner, attr, None)), f"{name}: {owner!r}.{attr} ({span})"
+
+
+@pytest.mark.parametrize("name", ["experiment-5k", "datapath-1m", "cpt-mixed-20k"])
+def test_tiny_iteration_passes_the_benchmark_checks(workloads, name, tmp_path):
+    workload = workloads.WORKLOADS[name](True)
+    inputs = workload.inputs(workload.dataset_seed(3, 0))
+    summary = workload.summarize(inputs, workload.run(inputs, tmp_path))
+    assert summary.problems == []

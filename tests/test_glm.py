@@ -4,11 +4,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from riskchoice import InputError, NumericalError, fit_logistic, glm, log_likelihood, sigmoid
+from riskchoice import (
+    GeneratorConfig,
+    InputError,
+    NumericalError,
+    design_matrix,
+    fit_logistic,
+    generate_dataset,
+    glm,
+    log_likelihood,
+    sigmoid,
+)
+from riskchoice.features import RAW_NAMES
 from riskchoice.glm import DEFAULT_MAX_ITER, DEFAULT_TOL, gradient_and_hessian, softplus_sum
 
 
@@ -293,6 +304,25 @@ class TestFitLogistic:
                 fit_logistic(X, y, l2_strength=l2)
         with pytest.raises(InputError):
             fit_logistic(X, y, feature_names=("a", "b"))
+        for tol in (-1e-8, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+                fit_logistic(X, y, tol=tol)
+
+    def test_stalled_intercept_only_fit_converges(self):
+        # the full step from -0.18232154 lands on log(10/12) but scores 4e-15
+        # below the current point, so the line search rejects it and every
+        # halving after it; a gradient stop test then ran all 100 steps
+        y = np.concatenate([np.ones(10), np.zeros(12)])
+        fit = fit_logistic(np.ones((22, 1)), y)
+        assert fit.converged and fit.iterations <= 10
+        assert fit.coeffs[0] == pytest.approx(math.log(10 / 12), abs=1e-7)
+
+    def test_raw_design_converges_at_200k_rows(self):
+        # the summed gradient's rounding noise kept a gradient stop test
+        # from ever being met on this design
+        data = generate_dataset(GeneratorConfig(n=200_000, seed=1))
+        fit = fit_logistic(design_matrix(data, RAW_NAMES), data.choice)
+        assert fit.converged and fit.iterations <= 15
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(13))
@@ -320,6 +350,70 @@ class TestFitLogistic:
         assert doc["features"] == ["intercept", "a", "b", "c"]
         assert doc["l2"] == 0.25
         assert len(doc["covariance"]) == 4
+
+
+@st.composite
+def scaled_designs(draw, lowest, highest):
+    """A design of 40-200 rows: an intercept column and 1-3 columns whose
+    scales (and offsets) run from 10**lowest to 10**highest, with 0/1
+    responses drawn from a logistic model on the standardized columns."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(40, 200))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    z = rng.normal(size=(n, k - 1))
+    scales = 10.0 ** rng.uniform(lowest, highest, k - 1)
+    offsets = scales * rng.normal(size=k - 1)
+    X = np.column_stack([np.ones(n), z * scales + offsets])
+    y = (rng.random(n) < sigmoid(rng.normal() * 0.5 + z @ rng.normal(size=k - 1))).astype(float)
+    assume(0 < y.sum() < n)
+    return X, y
+
+
+def standardized_reference(X, y, l2):
+    """Ridge on standardized columns as a second design: center and scale
+    the non-intercept columns, fit, and map the estimates and covariance back
+    to the raw columns. Returns (coefficients, covariance, iterations)."""
+    k = X.shape[1]
+    means = X.mean(axis=0)
+    scales = X.std(axis=0)
+    means[0] = 0.0
+    scales[0] = 1.0
+    scales[scales == 0.0] = 1.0
+    fit = fit_logistic((X - means) / scales, y, l2)
+    transform = np.eye(k)
+    for j in range(1, k):
+        transform[j, j] = 1.0 / scales[j]
+        transform[0, j] = -means[j] / scales[j]
+    cov = transform @ fit.covariance @ transform.T
+    return transform @ fit.coeffs, (cov + cov.T) / 2.0, fit.iterations
+
+
+class TestStandardize:
+    """``standardize`` weights each coefficient's L2 penalty by its column's
+    variance; Newton's method and its stop test do not see the columns'
+    scales."""
+
+    @settings(max_examples=200)
+    @given(design=scaled_designs(-3.0, 4.0))
+    def test_no_penalty_changes_nothing(self, design):
+        X, y = design
+        raw = fit_logistic(X, y)
+        assume(not any("separation" in d for d in raw.diagnostics))
+        std = fit_logistic(X, y, standardize=True)
+        assert std.iterations == raw.iterations
+        assert std.converged == raw.converged
+        assert np.all(np.abs(std.coeffs - raw.coeffs) <= 1e-6 * raw.std_errors)
+
+    @settings(max_examples=200)
+    @given(design=scaled_designs(-7.0, 7.0), l2=st.floats(0.01, 10.0))
+    def test_penalty_matches_a_standardized_design(self, design, l2):
+        X, y = design
+        fit = fit_logistic(X, y, l2, standardize=True)
+        coeffs, cov, iterations = standardized_reference(X, y, l2)
+        assert fit.iterations == iterations
+        se = np.sqrt(np.diag(cov))
+        assert np.all(np.abs(fit.coeffs - coeffs) <= 1e-6 * se)
+        assert np.all(np.abs(fit.covariance - cov) <= 1e-6 * np.outer(se, se))
 
 
 # x = (-3, -2, -1, 1, 2, 3) with y = x > 0 is perfectly separated: the
@@ -394,7 +488,9 @@ class TestExitPaths:
             assert fit.log_likelihood == ll
             assert fit.iterations <= DEFAULT_MAX_ITER
             if not any("separation" in d for d in fit.diagnostics):
-                assert fit.converged == (np.max(np.abs(grad)) < tol)
+                # half the Newton decrement of the penalized objective
+                decrement = 0.5 * (grad @ np.linalg.solve(-hess, grad))
+                assert fit.converged == (decrement <= tol)
 
     def test_each_exit_is_reached(self):
         X, y = WELL_POSED

@@ -640,6 +640,9 @@ def test_header_alone_has_no_rows_whatever_follows_the_file(tmp_path):
     buf = np.frombuffer(header + b"\n", np.uint8).copy()
     with pytest.raises(scenario_module._Unparsed):
         scenario_module._read_columns(buf, len(header))
+    buf = np.frombuffer(header + b"\r\n", np.uint8).copy()
+    with pytest.raises(scenario_module._Unparsed):
+        scenario_module._read_columns(buf, len(header) + 1)
 
 
 def test_two_points_are_a_parse_error(tmp_path):
@@ -674,6 +677,9 @@ def test_writer_output_takes_the_numpy_path(tmp_path, monkeypatch, block):
     for arrays in (data, odd):
         path = tmp_path / "d.csv"
         write_dataset_csv(arrays, path)
+        assert_same_columns(read_dataset_csv(path), arrays)
+        # the same file with "\r\n" line ends
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert_same_columns(read_dataset_csv(path), arrays)
 
 
