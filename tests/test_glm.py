@@ -497,8 +497,9 @@ class TestExitPaths:
         assert fit_logistic(X, y).converged
         capped = fit_logistic(X, y, tol=0.0)
         assert capped.iterations == DEFAULT_MAX_ITER and not capped.converged
-        # default tolerance: the saturated gradient meets the stop test after
-        # 21 steps, and separation overrides the verdict
+        # default tolerance: the saturated fit meets the stop test after 21
+        # steps, its gradient below the tolerance too, and separation
+        # overrides the verdict
         separated = fit_logistic(SEPARABLE_X, SEPARABLE_Y)
         grad, _ = gradient_and_hessian(separated.coeffs, SEPARABLE_X, SEPARABLE_Y)
         assert separated.iterations == 21 and np.max(np.abs(grad)) < DEFAULT_TOL
