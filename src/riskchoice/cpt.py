@@ -130,17 +130,29 @@ def weight_array(p, params: CptParams) -> np.ndarray:
     return np.exp(-((-np.log(p)) ** params.gamma))
 
 
-def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
-    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S))) for every scenario."""
+def _latent_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
+    """The latent eta * (w(p) v(R) - v(S)) of every scenario."""
     u_risky = weight_array(arrays.p, params) * value_array(arrays.risky, params)
     u_safe = value_array(arrays.safe, params)
-    return sigmoid(params.eta * (u_risky - u_safe))
+    return params.eta * (u_risky - u_safe)
+
+
+def choice_prob_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
+    """P(risky) = sigmoid(eta * (w(p) v(R) - v(S))) for every scenario."""
+    return sigmoid(_latent_array(arrays, params))
 
 
 def cpt_log_likelihood(params: CptParams, arrays: ScenarioArrays) -> float:
-    """Bernoulli log-likelihood of the observed choices under the model."""
-    prep = _Prepared(arrays)
-    return float(-prep.neg_mean_ll(params.as_tuple()) * prep.n)
+    """Bernoulli log-likelihood of the observed choices under the model,
+    -sum softplus((1 - 2y) z) over the latents z that choice_prob_array
+    forms from value_array and weight_array; -inf when the sum overflows.
+    """
+    if len(arrays) == 0:
+        raise InputError("the likelihood needs at least one scenario")
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed = (1.0 - 2.0 * arrays.choice) * _latent_array(arrays, params)
+        total, _ = softplus_sum(signed)
+    return -total if math.isfinite(total) else -math.inf
 
 
 # What the term of a nonzero payoff x enters, by its sign. The term in
@@ -169,7 +181,10 @@ _KIND = {c: kind for sign in (1, -1) for c, kind in _enters(0, sign)}
 
 
 class _Prepared:
-    """Dataset preprocessed for repeated likelihood and derivative passes.
+    """Dataset preprocessed for fit_cpt's repeated derivative passes, each
+    giving the mean negative log-likelihood with its gradient and Hessian.
+    It serves the fit only: cpt_log_likelihood and choice_prob_array evaluate
+    the model through value_array and weight_array instead.
 
     Rows are reordered once so that rows sharing a (risky sign, safe sign)
     pair form one contiguous block. Within a block each payoff takes a single
@@ -222,40 +237,10 @@ class _Prepared:
         # Hessian row, whatever the parameters.
         entered = {c for _, enters, *_ in self._branches for c in enters.values()}
         self.identified = np.array([c in entered for c in range(4)] + [bool(entered)])
-        # d is only read on the way to the signed latent until a derivative
-        # pass gives it a row of its own
-        self._diff = self._signed
-        # the derivative pass's own buffers, made by its first call, so that
-        # value-only use (cpt_log_likelihood) does not pay for them
-        self._jac = None
 
-    def _latent(self, theta) -> None:
-        """Fill, per row, q = (-ln p)^gamma, the risky payoff's weighted value
-        w(p) v(R) with w(p) = exp(-q), v(S), d = w(p) v(R) - v(S) and the
-        signed latent sign * eta * d, whose softplus is the row's term."""
-        np.multiply(self.loglogp, theta[3], out=self._q)
-        np.exp(self._q, out=self._q)
-        for branch in self._branches:
-            _branch_value(theta, *branch)
-        diff = np.subtract(self._u_risky, self._v_safe, out=self._diff)
-        np.multiply(diff, theta[4], out=self._signed)
-        self._signed *= self.sign
-
-    def neg_mean_ll(self, theta) -> float:
-        """Negative per-observation log-likelihood; +inf when evaluation
-        breaks down numerically."""
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            self._latent(theta)
-            # q and w(p) v(R) are spent once the latent is formed
-            total, _ = softplus_sum(self._signed, self._q, self._u_risky)
-        if not np.isfinite(total):
-            return np.inf
-        return total / self.n
-
-    def _derivative_buffers(self) -> None:
-        """Allocate the derivative pass's work buffers and build, from the
-        sign table, its fixed rows and where each of its sums goes."""
-        n, blocks = self.n, self.blocks
+        # the pass's work buffers, and from the sign table its fixed rows and
+        # where each of its sums goes
+        blocks = self.blocks
         self._coords = coords = np.flatnonzero(self.identified).tolist()
         # the identified coordinates but eta, which any of them brings, last
         params = coords[:-1]
@@ -264,14 +249,13 @@ class _Prepared:
         # over the payoffs that enter the coordinate, +-u g, + for the risky
         # payoff and - for the safe one, where u is w(p) v(R) or v(S) and g
         # is ln|x| for an exponent, m for gamma and 1 for lambda. eta's r is
-        # d, written there by _latent from now on. Entries that no block
-        # reaches stay 0.
-        self._jac = jac = np.zeros((len(coords), n))
-        if coords:
-            self._diff = jac[-1]
+        # d, the last row; when every payoff is 0 nothing is identified and
+        # d is the only row, read by no sum. Entries that no block reaches
+        # stay 0.
+        self._jac = jac = np.zeros((max(len(coords), 1), n))
         # h times each row of jac, then rho: one product with jac gives both
         # sum h r r' and sum rho r; then three work rows, in one allocation
-        rows = np.empty((len(coords) + 4, n))
+        rows = np.empty((len(jac) + 4, n))
         self._left, work = rows[:-3], rows[-3:]
         self._rho = self._left[-1]
         self._e, self._aux, self._h = work
@@ -349,30 +333,36 @@ class _Prepared:
                     self._fills.append((jac[r, rows], self._aux[rows], fill[0], fill[1:]))
 
     def derivatives(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
-        """neg_mean_ll with its gradient and Hessian in (alpha, beta, lambda,
-        gamma, eta), from one pass over the rows (see _pass)."""
+        """Mean negative log-likelihood with its gradient and Hessian in
+        (alpha, ..., eta), from one pass over the rows (see _pass)."""
         value, grad, hess = self._pass(theta)
         return value, np.array(grad), np.array(hess).reshape(5, 5)
 
     def _pass(self, theta) -> tuple[float, list[float], list[float]]:
-        """neg_mean_ll with its gradient and its Hessian in (alpha, beta,
-        lambda, gamma, eta), the Hessian as 25 floats in row-major order.
+        """Mean negative log-likelihood with its gradient and its Hessian in
+        (alpha, ..., eta), the Hessian as 25 floats in row-major order.
 
         Each row's term is softplus(sign * z) with z = eta * d. With rho its
         derivative in z and h its second derivative, the Hessian of the sum
         is sum h (dz/dtheta)(dz/dtheta)' + sum rho d2z/dtheta2; both come
-        from the sign table's entries (see _derivative_buffers) and are
-        formed for the coordinates in ``identified`` only. Where the value or
-        a derivative is not finite the value is +inf and the derivatives are
-        NaN. Rows and columns of parameters outside ``identified`` are
-        exactly 0.
+        from the sign table's entries (see __init__) and are formed for the
+        coordinates in ``identified`` only. Where the value or a derivative
+        is not finite the value is +inf and the derivatives are NaN. Rows
+        and columns of parameters outside ``identified`` are exactly 0.
         """
         eta = float(theta[4])
-        if self._jac is None:
-            self._derivative_buffers()
         jac, rho, h, aux = self._jac, self._rho, self._h, self._aux
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            self._latent(theta)
+            # per row, q = (-ln p)^gamma, the risky payoff's weighted value
+            # w(p) v(R) with w(p) = exp(-q), v(S), d = w(p) v(R) - v(S) and
+            # the signed latent sign * eta * d, whose softplus is the term
+            np.multiply(self.loglogp, theta[3], out=self._q)
+            np.exp(self._q, out=self._q)
+            for branch in self._branches:
+                _branch_value(theta, *branch)
+            diff = np.subtract(self._u_risky, self._v_safe, out=jac[-1])
+            np.multiply(diff, eta, out=self._signed)
+            self._signed *= self.sign
             total, e = softplus_sum(self._signed, self._e, aux)
             # rho = sign * sigmoid(signed) and h = sigmoid (1 - sigmoid), from e
             np.add(e, 1.0, out=aux)
@@ -380,7 +370,7 @@ class _Prepared:
             np.multiply(e, aux, out=h)
             h *= aux
             np.subtract(aux, 0.5, out=rho)
-            np.copysign(rho, self._diff, out=rho)
+            np.copysign(rho, diff, out=rho)
             rho += self._half_sign
             if self._m is not None:
                 np.multiply(self._q, self.loglogp, out=self._m)
@@ -576,7 +566,7 @@ def _standard_errors(
 
 class _Point(NamedTuple):
     """An iterate: unconstrained coordinates, theta with the diagonals of
-    d theta/dt and d2 theta/dt2, and neg_mean_ll with its gradient and
+    d theta/dt and d2 theta/dt2, and the objective with its gradient and
     Hessian in theta (row-major), as _Prepared._pass gives them."""
 
     t: list[float]
@@ -594,9 +584,9 @@ def _evaluate(prep: _Prepared, t, gamma_max: float) -> _Point:
 
 
 def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[list[float], float, bool, int]:
-    """Minimize neg_mean_ll from t0 by trust-region Newton steps in
-    unconstrained coordinates; return (end point, value there, converged,
-    likelihood passes).
+    """Minimize the mean negative log-likelihood from t0 by trust-region
+    Newton steps in unconstrained coordinates; return (end point, value
+    there, converged, likelihood passes).
 
     Coordinates outside ``prep.identified`` stay at their start. A
     box-bounded coordinate near its upper bound whose gradient points out of
@@ -761,8 +751,8 @@ def fit_cpt(
     """
     if n_restarts < 1:
         raise InputError("n_restarts must be at least 1")
-    if not gamma_max > 0.0:
-        raise InputError("gamma_max must be positive")
+    if not 0.0 < gamma_max < math.inf:
+        raise InputError("gamma_max must be positive and finite")
 
     prep = _Prepared(arrays)
     restart_seeds = np.random.SeedSequence(seed).generate_state(n_restarts)

@@ -33,7 +33,8 @@ def split(
 def accuracy(probs, y) -> float:
     """Fraction of correct classifications at the threshold 0.5.
 
-    A probability of exactly 0.5 counts as a positive prediction.
+    A probability of exactly 0.5 counts as a positive prediction. Any NaN
+    probability makes the accuracy NaN, as it makes the AUC.
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(y)
@@ -41,6 +42,8 @@ def accuracy(probs, y) -> float:
         raise InputError("probs and y must be equal-length vectors")
     if probs.shape[0] == 0:
         raise InputError("cannot score an empty prediction vector")
+    if np.isnan(probs).any():
+        return float("nan")
     preds = (probs >= 0.5).astype(int)
     return float(np.mean(preds == y))
 

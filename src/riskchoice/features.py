@@ -48,20 +48,12 @@ def _col_dominance(a: ScenarioArrays) -> np.ndarray:
     return (a.p * a.risky > a.safe).astype(float)
 
 
-def _col_certainty(a: ScenarioArrays) -> np.ndarray:
-    # The safe option pays with certainty in every scenario of this design,
-    # so this indicator is constant; it exists to exercise the screening
-    # path that drops uninformative columns.
-    return np.ones(len(a))
-
-
 _COLUMN_BUILDERS: dict[str, Callable[[ScenarioArrays], np.ndarray]] = {
     "intercept": lambda a: np.ones(len(a)),
     "frame": _col_frame,
     "low_prob": _col_low_prob,
     "magnitude": _col_magnitude,
     "dominance": _col_dominance,
-    "certainty": _col_certainty,
     "safe": lambda a: a.safe.copy(),
     "risky": lambda a: a.risky.copy(),
     "p": lambda a: a.p.copy(),
@@ -76,7 +68,6 @@ CANDIDATE_KINDS = {
     "low_prob": "categorical",
     "magnitude": "continuous",
     "dominance": "categorical",
-    "certainty": "categorical",
 }
 
 

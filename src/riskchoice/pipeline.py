@@ -275,7 +275,6 @@ def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
         "low_prob": 0.0,
         "magnitude": magnitude_median,
         "dominance": 0.0,
-        "certainty": 1.0,
     }
     rows = []
     for frame in (-1.0, 1.0):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -326,6 +327,12 @@ class TestExperiment:
         assert code == 0
         for name in ("report.json", "table1.csv", "reflection.csv", "dataset.csv"):
             assert (tmp_path / name).exists()
+
+    def test_default_run_logs_no_warning(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            assert run_cli("experiment", "--no-svg", "--out", str(tmp_path)) == 0
+        assert caplog.messages
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

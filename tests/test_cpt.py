@@ -392,9 +392,8 @@ class TestGradient:
     def test_matches_central_differences(self, theta, data):
         prep = GRADIENT_DATA[data]
         theta = np.array(theta)
-        value, grad, _ = prep.derivatives(theta)
-        assert value == prep.neg_mean_ll(theta)
-        fd = central_differences(prep.neg_mean_ll, theta)
+        _, grad, _ = prep.derivatives(theta)
+        fd = central_differences(lambda th: prep.derivatives(th)[0], theta)
         assert np.linalg.norm(grad - fd) < 1e-6 * np.linalg.norm(grad)
         if data == "gain_only":
             assert grad[1] == 0.0 and grad[2] == 0.0
@@ -451,6 +450,23 @@ class TestGradient:
         assert not np.any(hess[:, unidentified])
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
 
+    # the fit's objective comes from the engine's sorted blocks and the
+    # public likelihood from value_array and weight_array row by row; only
+    # summation order separates them
+    @settings(max_examples=300)
+    @given(layout=sign_layouts(), theta=interior_params)
+    def test_fit_objective_matches_the_public_likelihood(self, layout, theta):
+        value, _, _ = _Prepared(layout).derivatives(np.array(theta))
+        ll = cpt_log_likelihood(CptParams(*theta), layout)
+        assert value * len(layout) == pytest.approx(-ll, rel=1e-12)
+
+    def test_overflowing_powers_give_minus_infinity(self):
+        # v(S) = -lambda (-x)^beta overflows to -inf; no RuntimeWarning
+        params = CptParams(1.0, 1.0, 1e10, 1.0, 1.0)
+        arrays = sized(4, -1e300, 1e300)
+        assert cpt_log_likelihood(params, arrays) == -math.inf
+        assert _Prepared(arrays).derivatives(np.array(params.as_tuple()))[0] == math.inf
+
     @pytest.mark.parametrize("mixed_sign", [True, False], ids=["mixed_sign", "gain_only"])
     def test_pass_allocates_no_row_length_array(self, mixed_sign):
         # mixed-sign data has four blocks and five identified coordinates;
@@ -463,7 +479,6 @@ class TestGradient:
         tracemalloc.start()
         try:
             again = prep.derivatives(theta)
-            prep.neg_mean_ll(theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -669,7 +684,7 @@ class TestFit:
         prep = _Prepared(arrays)
 
         def objective(t):
-            return prep.neg_mean_ll(_from_unconstrained(t, fit.gamma_max)[0])
+            return prep.derivatives(_from_unconstrained(t, fit.gamma_max)[0])[0]
 
         z0 = fit.unconstrained_optimum
         grad = central_differences(objective, z0, rel_step=1e-6)
@@ -775,8 +790,9 @@ class TestFit:
         arrays = simulate(TRUE, 100, seed=8)
         with pytest.raises(InputError):
             fit_cpt(arrays, n_restarts=0)
-        with pytest.raises(InputError):
-            fit_cpt(arrays, gamma_max=0.0)
+        for gamma_max in (0.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="gamma_max must be positive and finite"):
+                fit_cpt(arrays, n_restarts=2, gamma_max=gamma_max)
 
     def test_empty_dataset_is_input_error(self):
         empty = sized(0, 1.0, 1.0)

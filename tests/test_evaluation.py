@@ -89,6 +89,11 @@ class TestAccuracy:
         with pytest.raises(InputError):
             accuracy(np.array([0.5]), np.array([1, 0]))
 
+    def test_nan_probability_gives_nan_accuracy(self):
+        # as auc does: a NaN is no prediction, so it is not counted as 0
+        assert np.isnan(accuracy(np.array([np.nan, 0.7]), np.array([0, 1])))
+        assert np.isnan(accuracy(np.array([0.2, 0.7, np.nan]), np.array([0, 1, 1])))
+
 
 class TestAuc:
     def test_perfect_separation(self):

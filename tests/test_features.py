@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -297,10 +299,20 @@ class TestSelection:
         # so its marginal association sits below the default gate
         assert not verdicts["low_prob"].retained
         assert verdicts["low_prob"].value == pytest.approx(0.0558, abs=0.02)
-        # constant column: undefined, dropped
-        assert verdicts["certainty"].value is None
-        assert not verdicts["certainty"].retained
         assert report.retained_names() == ("intercept", "frame", "magnitude", "dominance")
+
+    def test_constant_candidate_is_dropped_with_a_warning(self, default_data, caplog):
+        # with no scenario at p < 0.2 the low-probability indicator is constant
+        data = default_data.take(np.flatnonzero(default_data.p >= 0.2))
+        with caplog.at_level(logging.WARNING, logger="riskchoice.features"):
+            report = select_features(data)
+        verdicts = {e.name: e for e in report.entries}
+        assert verdicts["low_prob"].value is None
+        assert not verdicts["low_prob"].retained
+        assert "low_prob" not in report.retained_names()
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "dropping feature 'low_prob': x is constant; Cramér's V is undefined")
+        ]
 
     def test_lower_threshold_recovers_low_prob(self, default_data):
         report = select_features(default_data, tau_v=0.05)
@@ -315,7 +327,6 @@ class TestSelection:
             "low_prob": "cramers_v",
             "magnitude": "eta_squared",
             "dominance": "cramers_v",
-            "certainty": "cramers_v",
         }
 
     def test_pure_noise_indicator_not_retained(self, default_data):
