@@ -13,7 +13,6 @@ data, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -31,7 +30,14 @@ from .pipeline import (
     model_probs,
     run_experiment,
 )
-from .scenario import generate_dataset, read_dataset_csv, write_dataset_csv, write_metadata
+from .scenario import (
+    generate_dataset,
+    json_text,
+    read_dataset_csv,
+    read_json,
+    write_dataset_csv,
+    write_metadata,
+)
 
 log = logging.getLogger(__name__)
 
@@ -137,20 +143,13 @@ def cmd_fit(args) -> int:
         _print_coeff_table(fit.feature_names, fit.coeffs, fit.std_errors)
 
     path = out / f"{args.model}_model.json"
-    path.write_text(json.dumps(model_doc(args.model, fit), indent=2) + "\n", encoding="ascii")
+    path.write_text(json_text(model_doc(args.model, fit)), encoding="ascii")
     log.info("wrote %s", path)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model_path = Path(args.model_json)
-    if not model_path.exists():
-        raise DataParseError(f"model file not found: {model_path}")
-    try:
-        doc = json.loads(model_path.read_text(encoding="ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DataParseError(f"model JSON unreadable: {exc}") from exc
-
+    doc = read_json(args.model_json, DataParseError, "model file")
     arrays = read_dataset_csv(args.dataset)
     probs = model_probs(doc, arrays)  # checks the document first
     m = evaluate_predictions(doc["model"], probs, arrays.choice)
@@ -158,8 +157,9 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     metrics = {k: m[k] for k in ("accuracy", "auc", "n_test")}
     path = out / "metrics.json"
-    path.write_text(json.dumps(metrics, indent=2) + "\n", encoding="ascii")
-    print(json.dumps(metrics, indent=2))
+    text = json_text(metrics)
+    path.write_text(text, encoding="ascii")
+    print(text, end="")
     log.info("wrote %s", path)
     return 0
 
@@ -167,13 +167,7 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     doc = {}
     if args.config is not None:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {cfg_path}")
-        try:
-            doc = json.loads(cfg_path.read_text(encoding="ascii"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file unreadable: {exc}") from exc
+        doc = read_json(args.config, ConfigError, "config file")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = _config(args, doc)

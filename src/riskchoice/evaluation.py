@@ -76,10 +76,15 @@ def auc(scores, y) -> float:
 
 def midranks(scores) -> np.ndarray:
     """Ranks 1..n of the scores in ascending order, each group of equal
-    scores sharing the mean of its ranks; -0.0 equals 0.0."""
+    scores sharing the mean of its ranks; -0.0 equals 0.0. Each NaN is a
+    group of its own, ranked after every number.
+
+    Every member of a group gets the group's mean rank, so the sort need
+    not keep the order of equal scores.
+    """
     scores = np.asarray(scores, dtype=float)
     n = scores.shape[0]
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
     ordered = scores[order]
     # tie groups are the runs of equal values in sorted order; the group
     # holding sorted positions start..end-1 has mean rank (start + 1 + end) / 2

@@ -8,7 +8,6 @@ files emitted so far is still written before the error propagates.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -37,6 +36,7 @@ from .scenario import (  # noqa: F401  (as_arrays stays importable from here)
     generate_dataset,
     is_list_of,
     is_number,
+    json_text,
     write_dataset_csv,
     write_metadata,
 )
@@ -250,21 +250,21 @@ def evaluate_predictions(key: str, probs, y) -> dict:
     }
 
 
-def _table1_text(rows) -> str:
-    lines = [
-        "# interpretability is a fixed qualitative label per model family, not a computed metric",
-        "model,accuracy,auc,interpretability",
-    ]
-    for m in rows:
-        auc_s = "" if m["auc"] is None else _fmt(m["auc"])
-        lines.append(f"{m['model']},{_fmt(m['accuracy'])},{auc_s},{m['interpretability']}")
-    return "\n".join(lines) + "\n"
+_TABLE1_NOTE = (
+    "interpretability is a fixed qualitative label per model family, not a computed metric"
+)
 
 
-def _curve_text(header: tuple[str, str], curve: np.ndarray) -> str:
-    lines = [",".join(header)]
-    for a, b in curve:
-        lines.append(f"{_fmt(a)},{_fmt(b)}")
+def _csv_text(comments, header, rows) -> str:
+    """CSV text: a "# " line per comment, the header, then a line per row,
+    where a string field is written as it is, None as an empty field and a
+    number in %.17g."""
+
+    def cell(value) -> str:
+        return "" if value is None else value if isinstance(value, str) else _fmt(value)
+
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -286,19 +286,6 @@ def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
         "held": {k: held[k] for k in ("low_prob", "magnitude", "dominance")},
         "rows": rows,
     }
-
-
-def _reflection_text(reflection: dict) -> str:
-    held = reflection["held"]
-    lines = [
-        "# predicted risky-choice probability by frame, other features held fixed:",
-        f"# low_prob={_fmt(held['low_prob'])}, magnitude={_fmt(held['magnitude'])}, "
-        f"dominance={_fmt(held['dominance'])}",
-        "frame,p_risky",
-    ]
-    for frame, p in reflection["rows"]:
-        lines.append(f"{int(frame)},{_fmt(p)}")
-    return "\n".join(lines) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -335,36 +322,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         selection_base = data if cfg.select_on_full else train
         effect_report = select_features(selection_base, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
         retained = effect_report.retained_names()
-        emit(
-            "effect_sizes.json",
-            json.dumps(effect_report.to_json_list(), indent=2) + "\n",
-        )
+        emit("effect_sizes.json", json_text(effect_report.to_json_list()))
 
         fits, docs = {}, {}
         for key in MODEL_KEYS:
             stage = f"fit_{key}"
             fits[key] = fit_model(key, train, cfg, retained)
             docs[key] = model_doc(key, fits[key])
-            emit(f"{key}_model.json", json.dumps(docs[key], indent=2) + "\n")
+            emit(f"{key}_model.json", json_text(docs[key]))
 
         stage = "evaluate"
         metrics = {
             key: evaluate_predictions(key, model_probs(docs[key], test), test.choice)
             for key in MODEL_KEYS
         }
-        emit("table1.csv", _table1_text(metrics.values()))
+        columns = ("model", "accuracy", "auc", "interpretability")
+        rows = [[m[k] for k in columns] for m in metrics.values()]
+        emit("table1.csv", _csv_text([_TABLE1_NOTE], columns, rows))
 
         stage = "reflection"
         magnitude_median = float(np.median(design_matrix(train, ("magnitude",))))
         reflection = _reflection_rows(fits["symbolic"], magnitude_median)
-        emit("reflection.csv", _reflection_text(reflection))
+        held = ", ".join(f"{k}={_fmt(v)}" for k, v in reflection["held"].items())
+        notes = ["predicted risky-choice probability by frame, other features held fixed:", held]
+        emit("reflection.csv", _csv_text(notes, ("frame", "p_risky"), reflection["rows"]))
 
         stage = "curves"
         cpt_params = fits["cpt"].params
         value_curve = cpt_mod.sample_value_curve(cpt_params)
         weight_curve = cpt_mod.sample_weight_curve(cpt_params)
-        emit("value_curve.csv", _curve_text(("x", "v"), value_curve))
-        emit("weight_curve.csv", _curve_text(("p", "w"), weight_curve))
+        emit("value_curve.csv", _csv_text((), ("x", "v"), value_curve))
+        emit("weight_curve.csv", _csv_text((), ("p", "w"), weight_curve))
         if cfg.emit_svg:
             emit(
                 "value_curve.svg",
@@ -405,9 +393,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             },
             "manifest": list(manifest),
         }
-        (out / "report.json").write_text(
-            json.dumps(report_doc, indent=2) + "\n", encoding="ascii"
-        )
+        (out / "report.json").write_text(json_text(report_doc), encoding="ascii")
     except Exception as exc:
         partial = {
             "failed_stage": stage,
@@ -416,9 +402,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             "partial": True,
         }
         try:
-            (out / "report.json").write_text(
-                json.dumps(partial, indent=2) + "\n", encoding="ascii"
-            )
+            (out / "report.json").write_text(json_text(partial), encoding="ascii")
         except OSError:
             pass
         raise

@@ -735,12 +735,15 @@ def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     "\\n"), the fields are parsed in numpy: a field that is an optional "-"
     and digits with at most one point is converted exactly (eight digits per
     word operation, then the Eisel-Lemire step rounds each float correctly),
-    and any other field by float() or int() on its own. Any other file (the
-    header spelled otherwise, a space, a "\\r" that no "\\n" follows, a blank
-    line, a field neither function takes, or a row that breaks a
-    :class:`ScenarioArrays` rule) is parsed line by line: blank lines are
-    skipped, and the first bad line raises :class:`DataParseError` naming
-    its line number. A non-ASCII byte is reported before any other fault.
+    and any other field by float() or int() on its own. When those columns
+    break a :class:`ScenarioArrays` rule, the first row that breaks one
+    raises :class:`DataParseError` from them, with the line parser's message
+    and line number; a valid file pays for no such check. Any other file
+    (the header spelled otherwise, a space, a "\\r" that no "\\n" follows, a
+    blank line, or a field neither function takes) is parsed line by line:
+    blank lines are skipped, and the first bad line raises
+    :class:`DataParseError` naming its line number. A non-ASCII byte is
+    reported before any other fault.
     """
     path = Path(path)
     if not path.exists():
@@ -750,9 +753,15 @@ def read_dataset_csv(path: str | Path) -> ScenarioArrays:
         buf = np.empty(size + 1, np.uint8)
         size = fh.readinto(buf[:size])
     try:
-        return ScenarioArrays(**_read_columns(buf, size))
-    except (_Unparsed, InputError):
+        columns = _read_columns(buf, size)
+    except _Unparsed:
         pass
+    else:
+        try:
+            return ScenarioArrays(**columns)
+        except InputError:
+            # the numpy pass takes no blank line, so row r is on line r + 2
+            raise _rule_error(columns, range(2, len(columns["id"]) + 2)) from None
     raw = buf[:size].tobytes()
     try:
         text = raw.decode("ascii")
@@ -813,15 +822,24 @@ def _parse_lines(text: str) -> ScenarioArrays:
     columns = {name: np.ascontiguousarray(table[name]) for name in CSV_HEADER}
     # a scenario rule broken on an earlier line is reported before a later
     # parse error
-    bad = _first_invalid_row(**columns)
-    if bad is not None:
-        row, rule = bad
-        raise DataParseError(f"scenario {columns['id'][row]}: {rule}", line=line_numbers[row])
+    error = _rule_error(columns, line_numbers)
+    if error is not None:
+        raise error
     if parse_error is not None:
         raise parse_error
     if not rows:
         raise DataParseError("dataset has a header but no rows", line=1)
     return ScenarioArrays(**columns)
+
+
+def _rule_error(columns: dict[str, np.ndarray], line_numbers) -> DataParseError | None:
+    """The error for the first row of ``columns`` that breaks a scenario
+    rule, at its entry of ``line_numbers``; None when every row is valid."""
+    bad = _first_invalid_row(**columns)
+    if bad is None:
+        return None
+    row, rule = bad
+    return DataParseError(f"scenario {columns['id'][row]}: {rule}", line=line_numbers[row])
 
 
 def metadata_path(csv_path: str | Path) -> Path:
@@ -839,12 +857,35 @@ def write_metadata(cfg: GeneratorConfig, csv_path: str | Path) -> Path:
         "rng_algorithm": RNG_ALGORITHM,
     }
     out = metadata_path(csv_path)
-    out.write_text(json.dumps(meta, indent=2) + "\n", encoding="ascii")
+    out.write_text(json_text(meta), encoding="ascii")
     return out
 
 
 def read_metadata(csv_path: str | Path) -> dict:
-    path = metadata_path(csv_path)
+    """The generator settings recorded next to the dataset CSV; a missing or
+    malformed file raises :class:`DataParseError`."""
+    return read_json(metadata_path(csv_path), DataParseError, "metadata file")
+
+
+def json_text(doc) -> str:
+    """``doc`` as every JSON file of the package holds it: indented by two
+    spaces, with a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def read_json(path: str | Path, error: type[Exception], what: str):
+    """The JSON document in the file at ``path``.
+
+    Raises
+    ------
+    error
+        ``{what} not found: {path}`` when there is no such file, and
+        ``{what} unreadable: {reason}`` when it is not ASCII JSON.
+    """
+    path = Path(path)
     if not path.exists():
-        raise DataParseError(f"metadata file not found: {path}")
-    return json.loads(path.read_text(encoding="ascii"))
+        raise error(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="ascii"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+        raise error(f"{what} unreadable: {exc}") from exc

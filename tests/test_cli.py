@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import riskchoice
 from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
-from riskchoice.cli import _config, build_parser, main
+from riskchoice.cli import _config, build_parser, entry, main
 from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
 from riskchoice.pipeline import CptSettings, ExperimentConfig
@@ -145,6 +146,18 @@ class TestFit:
         code = run_cli("fit", "cpt", str(path), "--restarts", "3", "--out", str(tmp_path))
         assert code in (0, 3)
 
+    def test_separable_data_logs_the_separation_warning(self, tmp_path, caplog):
+        # every loss-framed scenario is taken risky and no gain-framed one,
+        # so the frame feature separates the choices
+        data = generate_dataset(GeneratorConfig(n=200, seed=3))
+        path = tmp_path / "separable.csv"
+        write_dataset_csv(replace(data, choice=(data.frame == -1).astype(np.int64)), path)
+        with caplog.at_level(logging.WARNING, logger="riskchoice.pipeline"):
+            assert run_cli("fit", "symbolic", str(path), "--out", str(tmp_path)) == 0
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert caplog.messages[0].startswith("possible separation: ")
+        assert json.loads((tmp_path / "symbolic_model.json").read_text())["converged"] is False
+
     def test_missing_probability_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,safe,risky,frame,choice\n0,1,2,1,0\n")
@@ -261,6 +274,15 @@ class TestEvaluate:
             json.dumps({"model": "symbolic", "features": ["intercept", "zig"], "coeffs": [0, 1]})
         )
         assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "raw", [b"{not json", b'{"model": "cpt",}', b"", '{"model": "\u00e9"}'.encode()]
+    )
+    def test_unreadable_model_file(self, dataset_csv, tmp_path, capsys, raw):
+        model_path = tmp_path / "m.json"
+        model_path.write_bytes(raw)
+        assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: model file unreadable: ")
 
     def test_malformed_model_json(self, dataset_csv, tmp_path):
         model_path = tmp_path / "broken.json"
@@ -478,6 +500,17 @@ def package_env() -> dict:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def test_entry_exits_with_the_status_of_main(tmp_path, monkeypatch):
+    for argv, status in (
+        (["generate", "--n", "5", "--out", str(tmp_path)], 0),
+        (["generate", "--n", "0", "--out", str(tmp_path)], 1),
+    ):
+        monkeypatch.setattr(sys, "argv", ["riskchoice", *argv])
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == status
 
 
 def test_module_entry_point(tmp_path):

@@ -67,6 +67,11 @@ class TestParams:
         with pytest.raises(InputError):
             CptParams(0.5, 0.5, 1.0, 1.0, math.inf)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1])
+    def test_eta_must_be_positive(self, eta):
+        with pytest.raises(InputError, match=f"^eta must be positive, got {eta}$"):
+            CptParams(0.5, 0.5, 1.0, 1.0, eta)
+
     def test_order(self):
         assert PARAM_NAMES == ("alpha", "beta", "lambda", "gamma", "eta")
         assert CptParams(0.1, 0.2, 0.3, 0.4, 0.5).as_tuple() == (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -283,7 +288,8 @@ REFERENCE_PREPARED = {name: _Prepared(arrays) for name, arrays in REFERENCE_DATA
 
 
 def reference_derivatives(arrays, theta):
-    """neg_mean_ll with its gradient and Hessian in (alpha, beta, lambda,
+    """The mean negative log-likelihood, which ``_Prepared.derivatives``
+    returns first, with its gradient and Hessian in (alpha, beta, lambda,
     gamma, eta), straight from the closed-form derivatives of every row's
     term softplus((1 - 2 y) z), z = eta (w(p) v(R) - v(S)): rows in their
     own order, each payoff's branch chosen with np.where. Also returns, for
@@ -830,6 +836,11 @@ class TestFit:
         assert fit.information_singular
         assert fit.log_likelihood == pytest.approx(30 * math.log(0.5), rel=1e-15)
         assert all(r.converged and r.n_evals == 1 for r in fit.restart_log)
+
+    def test_singular_identified_block_gives_no_standard_errors(self):
+        info = np.ones((5, 5))
+        identified = np.array([True, False, False, True, True])
+        assert cpt._standard_errors(info, identified) == ((None,) * 5, True)
 
     def test_newton_stops_at_the_pass_limit(self, monkeypatch):
         monkeypatch.setattr(cpt, "_MAX_PASSES", 3)

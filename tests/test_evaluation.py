@@ -107,6 +107,12 @@ class TestAuc:
         with pytest.raises(UndefinedMetricError):
             auc(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    def test_shape_errors(self):
+        with pytest.raises(InputError, match="equal-length vectors"):
+            auc(np.array([0.1, 0.9]), np.array([0, 1, 1]))
+        with pytest.raises(InputError, match="equal-length vectors"):
+            auc(np.array([[0.1, 0.9]]), np.array([[0, 1]]))
+
     def test_matches_brute_force_with_ties(self):
         rng = np.random.Generator(np.random.PCG64(20))
         for _ in range(100):

@@ -237,6 +237,14 @@ class TestEtaSquared:
         with pytest.raises(UndefinedEffectSizeError):
             eta_squared(np.arange(6, dtype=float), np.ones(6))
 
+    def test_shape_errors(self):
+        with pytest.raises(InputError, match="equal-length vectors"):
+            eta_squared(np.array([1.0, 2.0, 3.0]), np.array([0, 1]))
+        with pytest.raises(InputError, match="equal-length vectors"):
+            eta_squared(np.ones((2, 2)), np.array([0, 1]))
+        with pytest.raises(InputError, match="at least 2 observations"):
+            eta_squared(np.array([1.0]), np.array([0]))
+
 
 categorical = st.integers(min_value=0, max_value=4)
 continuous = st.floats(allow_nan=False, allow_infinity=False)

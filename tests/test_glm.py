@@ -250,6 +250,41 @@ class TestFitLogistic:
         assert not fit.converged
         assert any("possible separation" in d for d in fit.diagnostics)
 
+    def test_saturated_fit_without_covariance_reports_no_standard_errors(self):
+        fit = fit_logistic(*SATURATING, tol=0.0)
+        assert fit.covariance is None and fit.std_errors is None
+        doc = fit.to_json_dict()
+        assert doc["std_errors"] is None and doc["covariance"] is None
+        assert "covariance unavailable: singular information matrix" in fit.diagnostics
+
+    def test_tiny_column_reports_diverging_coefficients(self):
+        # no tolerance: the fit runs to the step cap, and the slope of a
+        # column scaled by 1e-5 grows past 1e3
+        X, y = WELL_POSED
+        X = X.copy()
+        X[:, 1] *= 1e-5
+        fit = fit_logistic(X, y, tol=0.0)
+        assert not fit.converged and fit.iterations == DEFAULT_MAX_ITER
+        assert fit.diagnostics == ["coefficients diverging; model may be ill-posed"]
+
+    def test_huge_column_gives_a_non_finite_newton_step(self):
+        X, y = WELL_POSED
+        X = X.copy()
+        X[:, 1] *= 1e200
+        # the information matrix overflows, which numpy warns of
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="^non-finite Newton step"):
+                fit_logistic(X, y)
+
+    def test_design_must_be_a_finite_matrix(self):
+        X, y = WELL_POSED
+        with pytest.raises(InputError, match="^X must be a 2-d design matrix$"):
+            fit_logistic(X[:, 1], y)
+        X = X.copy()
+        X[3, 2] = np.nan
+        with pytest.raises(InputError, match="^X must be finite$"):
+            fit_logistic(X, y)
+
     def test_rescaling_invariance(self):
         rng = np.random.Generator(np.random.PCG64(9))
         X, y = _random_instance(rng, n=400)

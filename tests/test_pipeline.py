@@ -100,6 +100,11 @@ class TestConfig:
         again = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert again == cfg
 
+    @pytest.mark.parametrize("doc", [[1, 2], "config", None, 5])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ConfigError, match="^config document must be a JSON object$"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_json_dict({"tau": 0.2})
@@ -276,6 +281,15 @@ class TestFailureHandling:
         assert "dataset.csv" in doc["manifest"]
         for name in doc["manifest"]:
             assert (tmp_path / name).exists()
+
+    def test_unwritable_report_keeps_the_stage_error(self, tmp_path):
+        # report.json is a directory, so neither the report nor the partial
+        # report can be written; the report stage's own error propagates
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(OSError) as info:
+            run_experiment(small_config(emit_svg=False), tmp_path)
+        assert "report.json" in str(info.value)
+        assert (tmp_path / "table1.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

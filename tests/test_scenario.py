@@ -399,6 +399,16 @@ def test_metadata_sidecar(tmp_path):
     assert json.loads(meta_path.read_text())["rng_algorithm"] == "numpy.random.PCG64"
 
 
+def test_missing_or_malformed_metadata_is_a_parse_error(tmp_path):
+    csv_path = tmp_path / "dataset.csv"
+    with pytest.raises(DataParseError, match="^metadata file not found: "):
+        read_metadata(csv_path)
+    for raw in (b"{not json", b'{"n": 1,}', b"", '{"n": "\u00e9"}'.encode("utf-8")):
+        scenario_module.metadata_path(csv_path).write_bytes(raw)
+        with pytest.raises(DataParseError, match="^metadata file unreadable: "):
+            read_metadata(csv_path)
+
+
 def test_as_arrays_rejects_empty():
     with pytest.raises(InputError):
         as_arrays([])
@@ -592,14 +602,23 @@ good_rows = st.tuples(
 ).map(list)
 
 
+# (column, value) pairs in the writer's spelling that break a scenario rule
+RULE_BREAKS = [(3, "0"), (3, "1"), (3, "1.5"), (4, "0"), (5, "2")]
+
+
 @st.composite
 def csv_files(draw):
     """CSV bytes: writer-style rows with a few fields, line breaks or the
-    header spelled otherwise."""
+    header spelled otherwise, and a few values, spelled as the writer
+    spells them, that break a scenario rule."""
     rows = draw(st.lists(good_rows, min_size=1, max_size=30))
     for _ in range(draw(st.integers(0, 3))):
         row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
         rows[row][col] = draw(odd_floats if col in (1, 2, 3) else odd_ints)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        col, value = draw(st.sampled_from(RULE_BREAKS))
+        rows[row][col] = value
     header = draw(
         st.sampled_from([",".join(CSV_HEADER)] * 4 + ["id, safe,risky,p,frame,choice", "ID,safe"])
     )
@@ -681,6 +700,40 @@ def test_writer_output_takes_the_numpy_path(tmp_path, monkeypatch, block):
         # the same file with "\r\n" line ends
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert_same_columns(read_dataset_csv(path), arrays)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_rule_breaking_row_is_named_without_the_line_parser(tmp_path, monkeypatch, end, block):
+    def line_parser(text):
+        raise AssertionError("the file went to the line parser")
+
+    path = tmp_path / "d.csv"
+    write_dataset_csv(generate_dataset(GeneratorConfig(n=200, seed=6)), path)
+    header, *body = path.read_text().splitlines()
+    rules = {
+        1: "payoffs must be finite",
+        2: "payoffs must be finite",
+        3: "win_prob must lie strictly in (0, 1)",
+        4: "frame must be -1 or +1",
+        5: "choice must be 0 or 1",
+    }
+    for col, value in RULE_BREAKS + [(1, "inf"), (2, "nan")]:
+        rows = [line.split(",") for line in body]
+        # two bad rows: the first one is named
+        for row in (137, 150):
+            rows[row][col] = value
+        path.write_bytes(end.join([header, *map(",".join, rows), ""]).encode())
+        want = f"line 139: scenario 137: {rules[col]}"
+        assert reference_read(path) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module, "_parse_lines", line_parser)
+            if block:
+                patch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
+            with pytest.raises(DataParseError) as info:
+                read_dataset_csv(path)
+        assert str(info.value) == want
+        assert info.value.line == 139
 
 
 def decimal_to_float(digits, e):
