@@ -89,7 +89,6 @@ class ExperimentConfig:
     tau_v: float = DEFAULT_TAU_V
     tau_eta: float = DEFAULT_TAU_ETA
     l2: float = 0.0
-    select_on_full: bool = False
     standardize_blackbox: bool = False
     cpt: CptSettings = field(default_factory=CptSettings)
     emit_svg: bool = True
@@ -291,13 +290,14 @@ def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run the whole pipeline and write all artifacts under ``out_dir``.
 
-    Stages: generate the dataset, split it, screen features on the training
-    side (or the full data when ``select_on_full``), fit the symbolic and
-    raw-feature logistic models and the parametric choice model on the
-    training side, score all three on the test side, and emit the dataset,
-    per-model JSONs, the comparison table, curve CSVs (plus SVG renderings
-    unless disabled), and a JSON report that echoes the config. Returns that
-    report document, as written to ``report.json``.
+    Stages: generate the dataset, split it, screen features, fit the
+    symbolic and raw-feature logistic models and the parametric choice model
+    on the training side, score all three on the test side, and emit the
+    dataset, per-model JSONs, the comparison table, curve CSVs (plus SVG
+    renderings unless disabled), and a JSON report that echoes the config.
+    Screening sees only the training side, so the test rows take no part in
+    choosing the features that are scored on them. Returns the report
+    document, as written to ``report.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,8 +319,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         train, test = split(data, cfg.train_frac, cfg.split_seed)
 
         stage = "select_features"
-        selection_base = data if cfg.select_on_full else train
-        effect_report = select_features(selection_base, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
+        effect_report = select_features(train, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
         retained = effect_report.retained_names()
         emit("effect_sizes.json", json_text(effect_report.to_json_list()))
 

@@ -419,6 +419,17 @@ class TestExperiment:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json")) == 1
 
+    def test_screening_on_the_full_data_is_no_option(self, tmp_path, capsys):
+        # the test rows must not choose the features that are scored on them
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--select-on-full", "--out", str(out)) == 1
+        assert "unrecognized arguments: --select-on-full" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"select_on_full": True}))
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['select_on_full']\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [("{not json", "config file unreadable"), ("[1, 2]", "must hold a JSON object")],
@@ -435,7 +446,7 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "doc, flags",
         [
-            ({"select_on_full": "yes"}, []),
+            ({"emit_svg": "yes"}, []),
             ({"generator": [1]}, ["--n", "100"]),
             ({}, ["--gamma-max", "inf"]),
         ],
@@ -469,7 +480,7 @@ class TestUsage:
         }
         assert flags("experiment") == {
             "--n", "--seed", "--true-coeffs", "--train-frac", "--split-seed", "--tau-v",
-            "--tau-eta", "--l2", "--select-on-full", "--standardize-blackbox", "--restarts",
+            "--tau-eta", "--l2", "--standardize-blackbox", "--restarts",
             "--cpt-seed", "--gamma-max", "--no-svg", "--config", "--out",
         }
         assert flags("evaluate") == {"--out"}
@@ -478,14 +489,14 @@ class TestUsage:
         argv = [
             "experiment", "--n", "300", "--seed", "3", "--true-coeffs=1,2,3,4,5",
             "--train-frac", "0.7", "--split-seed", "4", "--tau-v", "0.2", "--tau-eta", "0.03",
-            "--l2", "0.5", "--select-on-full", "--standardize-blackbox", "--restarts", "6",
+            "--l2", "0.5", "--standardize-blackbox", "--restarts", "6",
             "--cpt-seed", "8", "--gamma-max", "4", "--no-svg",
         ]
         cfg = _config(build_parser().parse_args(argv), {})
         assert cfg == ExperimentConfig(
             generator=GeneratorConfig(n=300, seed=3, true_coeffs=(1, 2, 3, 4, 5)),
             train_frac=0.7, split_seed=4, tau_v=0.2, tau_eta=0.03, l2=0.5,
-            select_on_full=True, standardize_blackbox=True,
+            standardize_blackbox=True,
             cpt=CptSettings(n_restarts=6, seed=8, gamma_max=4.0), emit_svg=False,
         )
         assert _config(build_parser().parse_args(["experiment"]), {}) == ExperimentConfig()

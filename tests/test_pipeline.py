@@ -30,7 +30,6 @@ configs = st.builds(
     tau_v=nonnegative,
     tau_eta=nonnegative,
     l2=nonnegative,
-    select_on_full=st.booleans(),
     standardize_blackbox=st.booleans(),
     cpt=st.builds(
         CptSettings,
@@ -92,11 +91,11 @@ class TestConfig:
             GeneratorConfig(n=True)
         with pytest.raises(ConfigError, match="gamma_max must be a number"):
             CptSettings(gamma_max=True)
-        with pytest.raises(ConfigError, match="select_on_full must be true or false"):
-            ExperimentConfig(select_on_full="yes", emit_svg=0)
+        with pytest.raises(ConfigError, match="emit_svg must be true or false"):
+            ExperimentConfig(emit_svg="yes")
 
     def test_json_round_trip(self):
-        cfg = small_config(train_frac=0.75, l2=0.5, select_on_full=True)
+        cfg = small_config(train_frac=0.75, l2=0.5, emit_svg=False)
         again = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert again == cfg
 
@@ -116,7 +115,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"select_on_full": "yes"}, "select_on_full must be true or false"),
+            ({"emit_svg": "yes"}, "emit_svg must be true or false"),
             ({"emit_svg": 0}, "emit_svg must be true or false"),
             ({"cpt": {"n_restarts": True}}, "n_restarts must be an integer"),
             ({"split_seed": 1.5}, "split_seed must be an integer"),
@@ -138,7 +137,7 @@ class TestConfig:
         doc = ExperimentConfig().to_json_dict()
         assert list(doc) == [
             "generator", "train_frac", "split_seed", "tau_v", "tau_eta", "l2",
-            "select_on_full", "standardize_blackbox", "cpt", "emit_svg",
+            "standardize_blackbox", "cpt", "emit_svg",
         ]
         assert list(doc["generator"]) == ["n", "seed", "true_coeffs"]
         assert list(doc["cpt"]) == ["n_restarts", "seed", "gamma_max"]
@@ -244,12 +243,22 @@ class TestRun:
         assert not any(name.endswith(".svg") for name in report["manifest"])
         assert not list(tmp_path.glob("*.svg"))
 
-    def test_select_on_full_flag_changes_selection_input(self, tmp_path):
-        # with a tiny training split, screening on the full data still sees
-        # the signal; identical otherwise
-        cfg = small_config(select_on_full=True)
-        report = run_experiment(cfg, tmp_path / "a")
-        assert "frame" in report["retained_features"]
+    def test_screening_sees_only_the_training_rows(self, tmp_path, monkeypatch):
+        from riskchoice import generate_dataset, pipeline, split
+
+        seen = []
+
+        def recording(data, **kwargs):
+            seen.append(data.id.copy())
+            return select_features(data, **kwargs)
+
+        select_features = pipeline.select_features
+        monkeypatch.setattr(pipeline, "select_features", recording)
+        cfg = small_config(emit_svg=False)
+        run_experiment(cfg, tmp_path)
+        train, _ = split(generate_dataset(cfg.generator), cfg.train_frac, cfg.split_seed)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], train.id)
 
     def test_train_accuracy_at_least_test(self, small_run):
         # informational regression: not a theorem, but holds on this seed
