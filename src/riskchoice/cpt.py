@@ -43,6 +43,9 @@ PARAM_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
 
 DEFAULT_GAMMA_MAX = 5.0
 DEFAULT_RESTARTS = 20
+# the restart seeds are drawn up front, a 32-bit word each, so their count
+# is bounded
+MAX_RESTARTS = 10**6
 DEFAULT_FIT_SEED = 7
 
 # A restart has converged when half the Newton decrement g' H^-1 g of the
@@ -670,6 +673,9 @@ def _newton(prep: _Prepared, t0, gamma_max: float) -> tuple[list[float], float, 
             length = math.sqrt(sum(s * s for s in step))
             if not gain >= 0.25 * predicted:
                 radius = length / 4.0
+                if radius == 0.0:
+                    # the step's length underflowed: no shorter step is left
+                    return point.t, point.value, False, passes
             elif gain >= 0.75 * predicted and length >= 0.99 * radius:
                 radius = 2.0 * radius
             if trial.value <= point.value:
@@ -749,8 +755,8 @@ def fit_cpt(
         If no restart converges, or the best one ends at coordinates that map
         to a non-finite parameter; the error carries the restart log.
     """
-    if n_restarts < 1:
-        raise InputError("n_restarts must be at least 1")
+    if not 1 <= n_restarts <= MAX_RESTARTS:
+        raise InputError(f"n_restarts must be from 1 to {MAX_RESTARTS}, got {n_restarts!r}")
     if not 0.0 < gamma_max < math.inf:
         raise InputError("gamma_max must be positive and finite")
 

@@ -71,8 +71,10 @@ class CptSettings:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_restarts < 1:
-            raise ConfigError(f"cpt n_restarts must be a positive integer, got {self.n_restarts!r}")
+        if not 1 <= self.n_restarts <= cpt_mod.MAX_RESTARTS:
+            raise ConfigError(
+                f"cpt n_restarts must be from 1 to {cpt_mod.MAX_RESTARTS}, got {self.n_restarts!r}"
+            )
         if self.seed < 0:
             raise ConfigError(f"cpt seed must be a nonnegative integer, got {self.seed!r}")
         if not (math.isfinite(self.gamma_max) and self.gamma_max > 0):

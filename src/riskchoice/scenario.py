@@ -743,15 +743,20 @@ def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     blank line, or a field neither function takes) is parsed line by line:
     blank lines are skipped, and the first bad line raises
     :class:`DataParseError` naming its line number. A non-ASCII byte is
-    reported before any other fault.
+    reported before any other fault. A missing file raises
+    ``dataset file not found: {path}``, and one that cannot be read (a
+    directory, say) ``dataset file unreadable: {reason}``.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataParseError(f"dataset file not found: {path}")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = np.empty(size + 1, np.uint8)
-        size = fh.readinto(buf[:size])
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            buf = np.empty(size + 1, np.uint8)
+            size = fh.readinto(buf[:size])
+    except FileNotFoundError:
+        raise DataParseError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise DataParseError(f"dataset file unreadable: {exc}") from exc
     try:
         columns = _read_columns(buf, size)
     except _Unparsed:
@@ -880,12 +885,13 @@ def read_json(path: str | Path, error: type[Exception], what: str):
     ------
     error
         ``{what} not found: {path}`` when there is no such file, and
-        ``{what} unreadable: {reason}`` when it is not ASCII JSON.
+        ``{what} unreadable: {reason}`` when it cannot be read (a directory,
+        say) or is not ASCII JSON.
     """
     path = Path(path)
-    if not path.exists():
-        raise error(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="ascii"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError included
         raise error(f"{what} unreadable: {exc}") from exc

@@ -796,6 +796,9 @@ class TestFit:
         arrays = simulate(TRUE, 100, seed=8)
         with pytest.raises(InputError):
             fit_cpt(arrays, n_restarts=0)
+        # checked before the seeds are drawn, which numpy cannot hold
+        with pytest.raises(InputError, match=f"^n_restarts must be from 1 to 1000000, got {2**63}"):
+            fit_cpt(arrays, n_restarts=2**63)
         for gamma_max in (0.0, math.inf, math.nan):
             with pytest.raises(InputError, match="gamma_max must be positive and finite"):
                 fit_cpt(arrays, n_restarts=2, gamma_max=gamma_max)
@@ -822,6 +825,14 @@ class TestFit:
         except EstimationError:
             return
         assert math.isfinite(fit.log_likelihood)
+
+    def test_steps_whose_length_underflows_end_the_restart(self):
+        # a subnormal loss: every gradient entry is below 1e-84, the rejected
+        # steps shrink until their squared length underflows, and the trust
+        # radius reaches 0
+        with pytest.raises(EstimationError, match="none of the 1 restarts converged") as err:
+            fit_cpt(one_scenario(0.0, -4.0782907973636714e-265, 0.5), n_restarts=1)
+        assert [r.converged for r in err.value.restart_log] == [False]
 
     def test_non_finite_pass(self):
         # dz/dalpha = eta ln|x| x^alpha overflows

@@ -33,7 +33,7 @@ configs = st.builds(
     standardize_blackbox=st.booleans(),
     cpt=st.builds(
         CptSettings,
-        n_restarts=seeds.filter(bool),
+        n_restarts=st.integers(1, 10**6),
         seed=seeds,
         gamma_max=st.floats(0.0, exclude_min=True, allow_infinity=False)
         | st.integers(1, FLOAT_MAX),
@@ -75,8 +75,9 @@ class TestConfig:
             ExperimentConfig(split_seed=-2)
         with pytest.raises(ConfigError):
             ExperimentConfig(tau_v=-0.1)
-        with pytest.raises(ConfigError):
-            CptSettings(n_restarts=0)
+        for n_restarts in (0, 10**6 + 1, 2**63):
+            with pytest.raises(ConfigError, match="^cpt n_restarts must be from 1 to 1000000,"):
+                CptSettings(n_restarts=n_restarts)
         with pytest.raises(ConfigError):
             CptSettings(gamma_max=-1.0)
         for bad in (float("inf"), float("nan")):
