@@ -32,31 +32,41 @@ DEFAULT_TAU_V = 0.1
 DEFAULT_TAU_ETA = 0.01
 
 
-def _col_frame(a: ScenarioArrays) -> np.ndarray:
-    return a.frame.astype(float)
+def _builder(write: Callable[[ScenarioArrays, np.ndarray], object]):
+    """A column builder from ``write(a, out)``, which writes one feature's
+    column of ``a`` into the float array ``out`` in place. The builder
+    allocates ``out`` when it is not given, and returns it."""
+
+    def build(a: ScenarioArrays, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(len(a)) if out is None else out
+        write(a, out)
+        return out
+
+    return build
 
 
-def _col_low_prob(a: ScenarioArrays) -> np.ndarray:
-    return (a.p < 0.2).astype(float)
+def _write_magnitude(a: ScenarioArrays, out: np.ndarray) -> None:
+    np.subtract(a.risky, a.safe, out=out)
+    out /= 100.0
 
 
-def _col_magnitude(a: ScenarioArrays) -> np.ndarray:
-    return (a.risky - a.safe) / 100.0
+def _write_dominance(a: ScenarioArrays, out: np.ndarray) -> None:
+    np.multiply(a.p, a.risky, out=out)
+    np.greater(out, a.safe, out=out)
 
 
-def _col_dominance(a: ScenarioArrays) -> np.ndarray:
-    return (a.p * a.risky > a.safe).astype(float)
-
-
-_COLUMN_BUILDERS: dict[str, Callable[[ScenarioArrays], np.ndarray]] = {
-    "intercept": lambda a: np.ones(len(a)),
-    "frame": _col_frame,
-    "low_prob": _col_low_prob,
-    "magnitude": _col_magnitude,
-    "dominance": _col_dominance,
-    "safe": lambda a: a.safe.copy(),
-    "risky": lambda a: a.risky.copy(),
-    "p": lambda a: a.p.copy(),
+_COLUMN_BUILDERS = {
+    name: _builder(write)
+    for name, write in {
+        "intercept": lambda a, out: out.fill(1.0),
+        "frame": lambda a, out: np.copyto(out, a.frame),
+        "low_prob": lambda a, out: np.less(a.p, 0.2, out=out),
+        "magnitude": _write_magnitude,
+        "dominance": _write_dominance,
+        "safe": lambda a, out: np.copyto(out, a.safe),
+        "risky": lambda a, out: np.copyto(out, a.risky),
+        "p": lambda a, out: np.copyto(out, a.p),
+    }.items()
 }
 
 
@@ -72,16 +82,25 @@ CANDIDATE_KINDS = {
 
 
 def design_matrix(arrays: ScenarioArrays, names) -> np.ndarray:
-    """Build a design matrix with the given feature columns, in order."""
-    cols = []
+    """Build a design matrix with the given feature columns, in order.
+
+    The n x k matrix is stored column-major, each feature's column
+    contiguous and written in place, as the fit reads it; its values are
+    those of ``np.column_stack`` over the same columns.
+    """
+    builders = []
     for name in names:
         builder = _COLUMN_BUILDERS.get(name)
         if builder is None:
             raise InputError(f"unknown feature {name!r}")
-        cols.append(builder(arrays))
-    if not cols:
+        builders.append(builder)
+    if not builders:
         raise InputError("no feature names given")
-    return np.column_stack(cols)
+    # row j of the row-major k x n array is column j of the design
+    columns = np.empty((len(builders), len(arrays)))
+    for builder, column in zip(builders, columns):
+        builder(arrays, column)
+    return columns.T
 
 
 def cramers_v(x, y) -> float:
@@ -108,9 +127,24 @@ def cramers_v(x, y) -> float:
 
 def _levels(v) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of v in sorted order and each element's index
-    among them; searchsorted orders NaN last and -0.0 with 0.0, as unique
-    does."""
-    levels = np.unique(v)
+    among them, as np.unique gives them: NaNs form one level, sorted last,
+    and -0.0 shares the level of 0.0.
+
+    The levels are the sorted values that differ from their neighbour. A
+    column of two levels is coded by one comparison (the index is then
+    boolean); any other by a binary search, which orders NaN and -0.0 as
+    the sort does.
+    """
+    ordered = np.sort(v)
+    first = np.empty(ordered.shape, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if ordered.dtype.kind in "cfmM" and ordered.size and np.isnan(ordered[-1]):
+        # NaN differs from itself, so only the first NaN opens a level
+        first[np.searchsorted(np.isnan(ordered), True) + 1 :] = False
+    levels = ordered[first]
+    if levels.shape[0] == 2:
+        return levels, v != levels[0]
     return levels, np.searchsorted(levels, v)
 
 
@@ -151,9 +185,14 @@ def eta_squared(x, y) -> float:
         raise InputError("x and y must be equal-length vectors")
     if x.shape[0] < 2:
         raise InputError("need at least 2 observations")
+    return _eta_squared(x, _levels(y))
 
-    groups = np.unique(y)
-    if groups.shape[0] < 2:
+
+def _eta_squared(x, y_coded: tuple[np.ndarray, np.ndarray]) -> float:
+    """eta_squared of the float vector x grouped by an outcome given by its
+    _levels."""
+    levels, index = y_coded
+    if levels.shape[0] < 2:
         raise UndefinedEffectSizeError("y is constant; eta squared is undefined")
 
     if np.all(x == x[0]):
@@ -165,8 +204,9 @@ def eta_squared(x, y) -> float:
     grand = x.mean()
     ss_total = float(((x - grand) ** 2).sum())
     ss_between = 0.0
-    for g in groups:
-        xg = x[y == g]
+    for j in range(levels.shape[0]):
+        # the same elements as x[index == j], gathered faster
+        xg = np.take(x, np.flatnonzero(index == j))
         ss_between += xg.shape[0] * (xg.mean() - grand) ** 2
     return float(min(max(ss_between / ss_total, 0.0), 1.0))
 
@@ -215,9 +255,8 @@ def select_features(
     """
     if len(arrays) < 2:
         raise InputError("need at least 2 scenarios to screen features")
-    y = arrays.choice
-    # the outcome's levels, sorted once for every categorical candidate
-    y_coded = _levels(y)
+    # the outcome's levels, found once for every candidate
+    y_coded = _levels(arrays.choice)
 
     entries = []
     for name, kind in CANDIDATE_KINDS.items():
@@ -227,7 +266,7 @@ def select_features(
         else:
             metric, threshold = "eta_squared", tau_eta
         try:
-            value = _cramers_v(col, y_coded) if kind == "categorical" else eta_squared(col, y)
+            value = (_cramers_v if kind == "categorical" else _eta_squared)(col, y_coded)
         except UndefinedEffectSizeError as exc:
             log.warning("dropping feature %r: %s", name, exc)
             entries.append(EffectSizeEntry(name, metric, None, threshold, False))

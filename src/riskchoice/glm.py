@@ -9,10 +9,13 @@ convention is column 0 of the design matrix. The covariance of the estimates
 is the inverse of the negative penalized Hessian at the optimum.
 
 One kernel, ``_pass``, computes the log-likelihood, gradient and Hessian
-together in a single pass over the rows, ``_BLOCK_ROWS`` at a time. A pass
-holds only one block's temporaries (a contiguous k x ``_BLOCK_ROWS``
-transpose of the block's rows, its weighted copy and a few block-length
-vectors), never an n x k or full-length one.
+together in a single pass over the rows, ``_BLOCK_ROWS`` at a time. It reads
+the design as its row-major k x n transpose, which a fit makes once and
+which is a view of the column-major designs of ``features.design_matrix``:
+each block is then a view of k row segments, and no block is copied. A pass
+holds only one block's temporaries (a k x ``_BLOCK_ROWS`` buffer for the
+weighted block, reused, and a few block-length vectors), never an n x k or
+full-length one.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
-# Rows per block of a likelihood pass. A block's k x 8192 transposed copy
-# and its weighted copy stay in cache; the products over that copy measured
-# about 15% faster than the same products over the row-major block. On a
-# 2-core machine with BLAS on one thread, one pass over an 800k x 5 design
-# took about 0.04 s at 4096 to 32768 rows and 0.07-0.08 s at 131072, and one
-# fit of that design took 0.19-0.27 s at 4096 to 32768 rows.
+# Rows per block of a likelihood pass. A block's k x 8192 weighted copy and
+# its block-length vectors stay in cache. On a 2-core machine with BLAS on
+# one thread, one pass over an 800k x 5 column-major design took 18 ms at
+# 8192 rows, 19-20 ms at 4096 and 16384, 24 ms at 2048 and 37 ms at 131072.
+# The block partial sums add in row order, so the size also fixes the
+# rounding of every figure a pass returns.
 _BLOCK_ROWS = 1 << 13
 
 
@@ -93,7 +96,7 @@ def log_likelihood(coeffs, X, y) -> float:
     region and never returns -inf for finite inputs.
     """
     X, y, coeffs = _check_inputs(X, y, coeffs=coeffs)
-    return _pass(coeffs, X, y, 0.0, _penalty_mask(X.shape[1]))[0]
+    return _pass(coeffs, _transposed(X), y, 0.0, _penalty_mask(X.shape[1]))[0]
 
 
 def _penalty_mask(k: int) -> np.ndarray:
@@ -111,32 +114,45 @@ def gradient_and_hessian(coeffs, X, y, l2_strength: float = 0.0):
     where b~ and I~ zero out the intercept entry.
     """
     X, y, coeffs = _check_inputs(X, y, l2_strength, coeffs)
-    return _pass(coeffs, X, y, l2_strength, _penalty_mask(X.shape[1]))[1:]
+    return _pass(coeffs, _transposed(X), y, l2_strength, _penalty_mask(X.shape[1]))[1:]
 
 
-def _pass(coeffs, X, y, l2_strength, mask):
+def _transposed(X) -> np.ndarray:
+    """The k x n row-major transpose of the n x k design X that ``_pass``
+    reads: a view when X is column-major, else a copy."""
+    return np.ascontiguousarray(X.T)
+
+
+def _pass(coeffs, XT, y, l2_strength, mask):
     """Log-likelihood, gradient and Hessian at ``coeffs`` in one pass over the
-    rows of the design ``X``, ``_BLOCK_ROWS`` at a time.
+    rows of the design, ``_BLOCK_ROWS`` at a time; ``XT`` is the design's
+    row-major k x n transpose (see _transposed).
 
     Per row, z = x'b, mu = sigma(z) and w = mu (1 - mu); the log-likelihood
     is -softplus_sum((1 - 2y) z) and is unpenalized, while the gradient and
     Hessian are those of the penalized objective (see gradient_and_hessian).
-    Block partial sums are added in row order.
+    Block partial sums are added in row order. Entries that overflow to inf
+    or NaN are returned without a numpy warning; the fit reports them.
     """
-    n, k = X.shape
+    k, n = XT.shape
     nll = 0.0
     score = np.zeros(k)
     info = np.zeros((k, k))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        xt, yb = np.ascontiguousarray(X[block].T), y[block]
-        z = coeffs @ xt
-        nll += softplus_sum((1.0 - 2.0 * yb) * z)[0]
-        mu = sigmoid(z)
-        score += xt @ (yb - mu)
-        info += (xt * (mu * (1.0 - mu))) @ xt.T
-    grad = score - l2_strength * mask * coeffs
-    hess = -info - l2_strength * np.diag(mask)
+    # the weighted block; a fresh k x _BLOCK_ROWS array per block costs more
+    # than the product that fills it
+    weighted = np.empty((k, min(n, _BLOCK_ROWS)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            xt, yb = XT[:, block], y[block]
+            z = coeffs @ xt
+            nll += softplus_sum((1.0 - 2.0 * yb) * z)[0]
+            mu = sigmoid(z)
+            score += xt @ (yb - mu)
+            xw = np.multiply(xt, mu * (1.0 - mu), out=weighted[:, : yb.shape[0]])
+            info += xw @ xt.T
+        grad = score - l2_strength * mask * coeffs
+        hess = -info - l2_strength * np.diag(mask)
     return -nll, grad, hess
 
 
@@ -173,7 +189,7 @@ class FittedLogistic:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.coeffs.shape[0]:
             raise InputError("design matrix does not match the fitted coefficients")
-        return sigmoid(X @ self.coeffs)
+        return sigmoid(linear_predictor(X, self.coeffs))
 
     def to_json_dict(self) -> dict:
         se = self.std_errors
@@ -191,9 +207,21 @@ class FittedLogistic:
         }
 
 
+def linear_predictor(X, coeffs) -> np.ndarray:
+    """X @ coeffs for an n x k design X, one latent score per row, rounded
+    as over a row-major X whatever X's memory layout.
+
+    BLAS sums a row's k products in one order for a row-major matrix and in
+    another for a column-major one, so X is first copied into row order: a
+    design's scores, and the choices, probabilities and files made from
+    them, do not depend on how the design is stored.
+    """
+    return np.ascontiguousarray(X) @ coeffs
+
+
 def _separates(X, y, beta) -> bool:
     """True when every row's margin (2y - 1) x'beta is strictly positive."""
-    return bool(np.all((2.0 * y - 1.0) * (X @ beta) > 0))
+    return bool(np.all((2.0 * y - 1.0) * linear_predictor(X, beta) > 0))
 
 
 def fit_logistic(
@@ -248,12 +276,14 @@ def fit_logistic(
 
     mask = _penalty_mask(k)
     if standardize:
-        variances = X.var(axis=0)
+        # a reduction's rounding depends on the layout; row order keeps one
+        variances = np.ascontiguousarray(X).var(axis=0)
         variances[variances == 0.0] = 1.0
         mask *= variances
+    XT = _transposed(X)
     beta = np.zeros(k)
     # every exit leaves ll, grad and hess evaluated at the final beta
-    ll, grad, hess = _pass(beta, X, y, l2_strength, mask)
+    ll, grad, hess = _pass(beta, XT, y, l2_strength, mask)
     obj = _penalized(ll, beta, l2_strength, mask)
     iterations = 0
     converged = False
@@ -291,7 +321,7 @@ def fit_logistic(
         t = 1.0
         for _ in range(1 if converged else 40):
             candidate = beta + t * step
-            at_candidate = _pass(candidate, X, y, l2_strength, mask)
+            at_candidate = _pass(candidate, XT, y, l2_strength, mask)
             new_obj = _penalized(at_candidate[0], candidate, l2_strength, mask)
             if new_obj >= obj:
                 break

@@ -27,7 +27,7 @@ from .features import (
     design_matrix,
     select_features,
 )
-from .glm import FittedLogistic, fit_logistic, sigmoid
+from .glm import FittedLogistic, fit_logistic, linear_predictor, sigmoid
 from .scenario import (  # noqa: F401  (as_arrays stays importable from here)
     GeneratorConfig,
     ScenarioArrays,
@@ -225,7 +225,7 @@ def _doc_probs(key: str, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise DataParseError("model JSON coeffs must all be finite")
-    return sigmoid(design_matrix(arrays, features) @ coeffs)
+    return sigmoid(linear_predictor(design_matrix(arrays, features), coeffs))
 
 
 def evaluate_predictions(key: str, probs, y) -> dict:

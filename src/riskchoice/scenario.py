@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataParseError, InputError, NumericalError
-from .glm import sigmoid
+from .glm import linear_predictor, sigmoid
 
 # Identifier of the generator's PRNG, recorded in dataset metadata so a
 # dataset can be regenerated bit-for-bit by any conforming implementation.
@@ -110,8 +110,15 @@ class ScenarioArrays:
         return self.safe.shape[0]
 
     def take(self, rows) -> ScenarioArrays:
-        """The scenarios at ``rows`` (an index array or a slice), in that order."""
-        return ScenarioArrays(**{name: getattr(self, name)[rows] for name in _COLUMN_DTYPES})
+        """The scenarios at ``rows`` (an index array, a boolean mask or a
+        slice), in that order."""
+        if isinstance(rows, slice) or np.asarray(rows).dtype == bool:
+            # np.take reads booleans as the indices 0 and 1
+            rows = np.arange(len(self))[rows]
+        # np.take gathers faster than indexing with the same integer array
+        return ScenarioArrays(
+            **{name: np.take(getattr(self, name), rows) for name in _COLUMN_DTYPES}
+        )
 
 
 def _first_invalid_row(id, safe, risky, p, frame, choice) -> tuple[int, str] | None:
@@ -236,7 +243,9 @@ def generate_dataset(cfg: GeneratorConfig) -> ScenarioArrays:
         choice=np.zeros(n, dtype=np.int64),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        utility = design_matrix(unchosen, SYMBOLIC_NAMES) @ np.asarray(cfg.true_coeffs)
+        utility = linear_predictor(
+            design_matrix(unchosen, SYMBOLIC_NAMES), np.asarray(cfg.true_coeffs)
+        )
     bad = int(np.count_nonzero(np.isnan(utility)))
     if bad:
         raise NumericalError(
@@ -471,8 +480,9 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
 
 # The reader's kernel takes a field that is an optional "-" and then digits
 # with at most one ".", as the writer emits them. It reads the window of
-# 64-bit words that ends at the field's last byte (three words for a float or
-# an id, one for frame and choice) and holds each byte as byte ^ "0": a
+# 64-bit words that ends at the field's last byte (three words for a float,
+# one for frame and choice, and one for an id when every id field of the
+# block fits 8 bytes, else three) and holds each byte as byte ^ "0": a
 # digit's value, 0x1e for the point, and 0 for every byte ahead of the field.
 # Any other field is converted on its own by float() or _int64(), as
 # _parse_lines converts it.
@@ -711,9 +721,11 @@ def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
         if cr.any():
             # a line's last field ends before its "\r\n"
             ends[-1] -= buf[ends[-1] - 1] == ord("\r")
-        # id; the three float columns in one pass; frame and choice in one
+        # id, in one window word when every id field fits it; the three float
+        # columns in one pass; frame and choice in one
+        id_words = 1 if int(np.max(ends[0] - starts[0])) <= 8 else _WINDOW_WORDS
         for cols, parse, convert in (
-            (slice(0, 1), partial(_parse_ints, words=_WINDOW_WORDS), _int64),
+            (slice(0, 1), partial(_parse_ints, words=id_words), _int64),
             (slice(1, 4), _parse_floats, float),
             (slice(4, 6), partial(_parse_ints, words=1), _int64),
         ):

@@ -194,6 +194,43 @@ class TestCramersV:
 
 
 class TestEtaSquared:
+    @settings(max_examples=300)
+    @given(
+        x_pool=st.lists(
+            st.sampled_from([np.nan, -0.0, 0.0, 1.0, -2.5, 1e-300]) | st.floats(-1e6, 1e6),
+            min_size=1,
+            max_size=6,
+        ),
+        y_pool=st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True).map(
+            lambda v: np.array(v, dtype=np.int64)
+        )
+        | st.lists(
+            st.sampled_from([np.nan, -0.0, 0.0, 1.0, -3.5]), min_size=1, max_size=4
+        ).map(lambda v: np.array(v, dtype=float)),
+        data=st.data(),
+    )
+    def test_matches_unique_inverse_reference_bitwise(self, x_pool, y_pool, data):
+        # NaN outcomes form one group and -0.0 shares the group of 0.0, as
+        # np.unique groups them; pool [nan, 0.0] holds two groups
+        n = data.draw(st.integers(2, 40))
+        x = np.array(data.draw(st.lists(st.sampled_from(x_pool), min_size=n, max_size=n)))
+        y = y_pool[data.draw(st.lists(st.integers(0, len(y_pool) - 1), min_size=n, max_size=n))]
+
+        levels, inverse = np.unique(y, return_inverse=True)
+        if levels.shape[0] < 2 or np.all(x == x[0]):
+            with pytest.raises(UndefinedEffectSizeError):
+                eta_squared(x, y)
+            return
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+        grand = x.mean()
+        ss_total = float(((x - grand) ** 2).sum())
+        ss_between = 0.0
+        for j in range(levels.shape[0]):
+            xg = x[inverse == j]
+            ss_between += xg.shape[0] * (xg.mean() - grand) ** 2
+        reference = float(min(max(ss_between / ss_total, 0.0), 1.0))
+        assert eta_squared(x, y).hex() == reference.hex()
+
     def test_pinned_small_instance(self):
         # groups (1,2) and (3,4): SS_between = 4, SS_total = 5
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -356,6 +393,44 @@ class TestSelection:
         one = generate_dataset(GeneratorConfig(n=1, seed=0))
         with pytest.raises(InputError):
             select_features(one)
+
+
+# Each feature's column as design_matrix built it with np.column_stack.
+REFERENCE_COLUMNS = {
+    "intercept": lambda a: np.ones(len(a)),
+    "frame": lambda a: a.frame.astype(float),
+    "low_prob": lambda a: (a.p < 0.2).astype(float),
+    "magnitude": lambda a: (a.risky - a.safe) / 100.0,
+    "dominance": lambda a: (a.p * a.risky > a.safe).astype(float),
+    "safe": lambda a: a.safe.copy(),
+    "risky": lambda a: a.risky.copy(),
+    "p": lambda a: a.p.copy(),
+}
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(1, 30),
+    names=st.lists(st.sampled_from(sorted(REFERENCE_COLUMNS)), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_design_matrix_has_the_column_stack_values(n, names, data):
+    payoffs = st.sampled_from([-0.0, 0.0, 5e-324, 20.0]) | st.floats(-1e300, 1e300)
+    probs = st.sampled_from([0.2, np.nextafter(0.2, 0.0), 0.5]) | st.floats(
+        0.0, 1.0, exclude_min=True, exclude_max=True
+    )
+    arrays = _scenarios(
+        *(data.draw(st.lists(s, min_size=n, max_size=n)) for s in (payoffs, payoffs, probs)),
+        data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+    reference = np.column_stack([REFERENCE_COLUMNS[name](arrays) for name in names])
+    X = design_matrix(arrays, names)
+    assert np.array_equal(X, reference)
+    # the same bits, -0.0 included, stored column-major
+    assert X.tobytes() == reference.tobytes() and X.flags.f_contiguous
+    for name in names:
+        column = _COLUMN_BUILDERS[name](arrays)
+        assert column.tobytes() == REFERENCE_COLUMNS[name](arrays).tobytes()
 
 
 def test_design_matrix_columns():

@@ -271,8 +271,10 @@ class TestFitLogistic:
         X, y = WELL_POSED
         X = X.copy()
         X[:, 1] *= 1e200
-        # the information matrix overflows, which numpy warns of
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # the information matrix overflows; the pass keeps numpy from
+        # warning of it, and the fit reports it as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="^non-finite Newton step"):
                 fit_logistic(X, y)
 
@@ -559,6 +561,37 @@ def pass_points(draw):
     coeffs = rng.normal(size=k) * draw(st.sampled_from([0.0, 0.1, 1.0, 30.0]))
     l2 = draw(st.just(0.0) | st.floats(0.01, 10.0))
     return X, y, coeffs, l2
+
+
+class TestLayout:
+    """A fit reads its design through a transpose made once, and scores rows
+    through linear_predictor; whether the design is stored row-major or
+    column-major changes no bit of either."""
+
+    @settings(max_examples=150)
+    @given(case=small_fits(), standardize=st.booleans())
+    def test_fit_is_bitwise_the_same_on_either_layout(self, case, standardize):
+        X, y, l2, tol = case
+        with mock.patch.object(glm, "_BLOCK_ROWS", SMALL_BLOCK):
+            c_fit, f_fit = (
+                fit_logistic(order(X), y, l2, tol=tol, standardize=standardize)
+                for order in (np.ascontiguousarray, np.asfortranarray)
+            )
+        assert c_fit.coeffs.tobytes() == f_fit.coeffs.tobytes()
+        assert (c_fit.covariance is None) == (f_fit.covariance is None)
+        if c_fit.covariance is not None:
+            assert c_fit.covariance.tobytes() == f_fit.covariance.tobytes()
+        assert c_fit.log_likelihood.hex() == f_fit.log_likelihood.hex()
+        assert (c_fit.iterations, c_fit.converged) == (f_fit.iterations, f_fit.converged)
+        assert c_fit.diagnostics == f_fit.diagnostics
+
+    @settings(max_examples=150)
+    @given(point=pass_points())
+    def test_linear_predictor_keeps_the_row_major_bits(self, point):
+        X, _, coeffs, _ = point
+        row_major = np.ascontiguousarray(X) @ coeffs
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            assert glm.linear_predictor(order(X), coeffs).tobytes() == row_major.tobytes()
 
 
 class TestBlockedPass:

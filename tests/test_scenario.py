@@ -193,6 +193,17 @@ def test_take_keeps_rows_together():
         np.testing.assert_array_equal(getattr(part, name), getattr(data, name)[rows])
 
 
+def test_take_reads_a_mask_or_a_slice_as_the_rows_they_select():
+    data = generate_dataset(GeneratorConfig(n=20, seed=8))
+    mask = data.choice == 1
+    for rows, picked in (
+        (mask, np.flatnonzero(mask)),
+        (slice(3, 17, 4), np.arange(3, 17, 4)),
+        (slice(None, None, -1), np.arange(19, -1, -1)),
+    ):
+        assert_same_columns(data.take(rows), data.take(picked))
+
+
 def test_csv_round_trip_is_exact(tmp_path, monkeypatch):
     # several write chunks, the last one short
     monkeypatch.setattr(scenario_module, "_CSV_CHUNK_ROWS", 64)
@@ -247,6 +258,49 @@ def test_csv_ids_span_int64(tmp_path):
     assert path.read_bytes() == reference_csv(data).encode("ascii")
     assert path.read_text().splitlines()[1].startswith("-9223372036854775808,")
     assert_same_columns(read_dataset_csv(path), data)
+
+
+@pytest.mark.parametrize("block", [None, 256, 4096])
+def test_ids_of_up_to_eight_bytes_take_one_window_word(tmp_path, monkeypatch, block):
+    # ids cross 10**8 inside a block and, with small blocks, between blocks;
+    # a block whose id fields all fit 8 bytes (a sign included) reads them
+    # from one window word, any other block from three
+    def line_parser(text):
+        raise AssertionError("the file went to the line parser")
+
+    parse_ints = scenario_module._parse_ints
+    words_seen = []
+
+    def recording(buf, starts, ends, words):
+        words_seen.append(words)
+        return parse_ints(buf, starts, ends, words)
+
+    monkeypatch.setattr(scenario_module, "_parse_lines", line_parser)
+    monkeypatch.setattr(scenario_module, "_parse_ints", recording)
+    if block:
+        monkeypatch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
+    n = 300
+    crossing = np.arange(10**8 - n // 2, 10**8 + n // 2, dtype=np.int64)
+    signed = np.resize(np.array([-9_999_999, -1, 0, 99_999_999, -10**8, -12_345_678]), n)
+    rng = np.random.Generator(np.random.PCG64(5))
+    base = make_arrays(
+        rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 150.0, n), rng.uniform(0.1, 0.9, n),
+        rng.choice([-1, 1], n), rng.integers(0, 2, n),
+    )
+    for ids, widths in (
+        (base.id, {1}),
+        (base.id[::-1] * 333_667, {1}),  # up to 99_766_433, eight digits
+        (crossing, {3} if block is None else {1, 3}),
+        (signed, {1, 3} if block == 256 else {3}),
+    ):
+        data = replace(base, id=ids)
+        path = tmp_path / "ids.csv"
+        write_dataset_csv(data, path)
+        words_seen.clear()
+        assert_same_columns(read_dataset_csv(path), data)
+        # each block parses its ids, then its frame and choice fields
+        assert set(words_seen[::2]) == widths
+        assert set(words_seen[1::2]) == {1}
 
 
 def kernel_text(values):
