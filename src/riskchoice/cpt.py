@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EstimationError, InputError
 from .glm import sigmoid, softplus_sum
-from .scenario import ScenarioArrays
+from .scenario import ScenarioArrays, is_integer
 
 PARAM_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
 
@@ -130,7 +130,9 @@ def weight_array(p, params: CptParams) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise InputError("probabilities must lie in (0, 1]")
-    return np.exp(-((-np.log(p)) ** params.gamma))
+    # (-ln p)^gamma overflowing to inf gives the weight's exact limit 0
+    with np.errstate(over="ignore"):
+        return np.exp(-((-np.log(p)) ** params.gamma))
 
 
 def _latent_array(arrays: ScenarioArrays, params: CptParams) -> np.ndarray:
@@ -755,8 +757,10 @@ def fit_cpt(
         If no restart converges, or the best one ends at coordinates that map
         to a non-finite parameter; the error carries the restart log.
     """
-    if not 1 <= n_restarts <= MAX_RESTARTS:
+    if not (is_integer(n_restarts) and 1 <= n_restarts <= MAX_RESTARTS):
         raise InputError(f"n_restarts must be from 1 to {MAX_RESTARTS}, got {n_restarts!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if not 0.0 < gamma_max < math.inf:
         raise InputError("gamma_max must be positive and finite")
 

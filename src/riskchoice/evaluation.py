@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, UndefinedMetricError
-from .scenario import ScenarioArrays
+from .scenario import ScenarioArrays, is_integer
 
 
 def split(
@@ -14,8 +14,10 @@ def split(
     """Shuffle with a seeded permutation, then cut into train and test.
 
     The train side gets round(train_frac * n) scenarios. Both sides must be
-    nonempty.
+    nonempty, and ``seed`` a nonnegative integer.
     """
+    if not (is_integer(seed) and seed >= 0):
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if not 0.0 < train_frac < 1.0:
         raise InputError(f"train_frac must lie strictly in (0, 1), got {train_frac}")
     n = len(data)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,19 +31,6 @@ DEFAULT_TAU_V = 0.1
 DEFAULT_TAU_ETA = 0.01
 
 
-def _builder(write: Callable[[ScenarioArrays, np.ndarray], object]):
-    """A column builder from ``write(a, out)``, which writes one feature's
-    column of ``a`` into the float array ``out`` in place. The builder
-    allocates ``out`` when it is not given, and returns it."""
-
-    def build(a: ScenarioArrays, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty(len(a)) if out is None else out
-        write(a, out)
-        return out
-
-    return build
-
-
 def _write_magnitude(a: ScenarioArrays, out: np.ndarray) -> None:
     np.subtract(a.risky, a.safe, out=out)
     out /= 100.0
@@ -55,24 +41,24 @@ def _write_dominance(a: ScenarioArrays, out: np.ndarray) -> None:
     np.greater(out, a.safe, out=out)
 
 
+# Each feature's writer ``write(a, out)`` fills the float array ``out`` with
+# that feature's column of ``a`` in place; design_matrix is their one caller.
 _COLUMN_BUILDERS = {
-    name: _builder(write)
-    for name, write in {
-        "intercept": lambda a, out: out.fill(1.0),
-        "frame": lambda a, out: np.copyto(out, a.frame),
-        "low_prob": lambda a, out: np.less(a.p, 0.2, out=out),
-        "magnitude": _write_magnitude,
-        "dominance": _write_dominance,
-        "safe": lambda a, out: np.copyto(out, a.safe),
-        "risky": lambda a, out: np.copyto(out, a.risky),
-        "p": lambda a, out: np.copyto(out, a.p),
-    }.items()
+    "intercept": lambda a, out: out.fill(1.0),
+    "frame": lambda a, out: np.copyto(out, a.frame),
+    "low_prob": lambda a, out: np.less(a.p, 0.2, out=out),
+    "magnitude": _write_magnitude,
+    "dominance": _write_dominance,
+    "safe": lambda a, out: np.copyto(out, a.safe),
+    "risky": lambda a, out: np.copyto(out, a.risky),
+    "p": lambda a, out: np.copyto(out, a.p),
 }
 
 
 # The candidates that screening scores, in report order, with their kind:
 # "categorical" columns are screened with Cramér's V, "continuous" ones with
-# eta squared. Each column comes from _COLUMN_BUILDERS.
+# eta squared. Screening reads each column as one row of the k x n storage
+# of a single design_matrix over these names.
 CANDIDATE_KINDS = {
     "frame": "categorical",
     "low_prob": "categorical",
@@ -88,18 +74,18 @@ def design_matrix(arrays: ScenarioArrays, names) -> np.ndarray:
     contiguous and written in place, as the fit reads it; its values are
     those of ``np.column_stack`` over the same columns.
     """
-    builders = []
+    writers = []
     for name in names:
-        builder = _COLUMN_BUILDERS.get(name)
-        if builder is None:
+        write = _COLUMN_BUILDERS.get(name)
+        if write is None:
             raise InputError(f"unknown feature {name!r}")
-        builders.append(builder)
-    if not builders:
+        writers.append(write)
+    if not writers:
         raise InputError("no feature names given")
     # row j of the row-major k x n array is column j of the design
-    columns = np.empty((len(builders), len(arrays)))
-    for builder, column in zip(builders, columns):
-        builder(arrays, column)
+    columns = np.empty((len(writers), len(arrays)))
+    for write, column in zip(writers, columns):
+        write(arrays, column)
     return columns.T
 
 
@@ -258,9 +244,10 @@ def select_features(
     # the outcome's levels, found once for every candidate
     y_coded = _levels(arrays.choice)
 
+    # the design's k x n storage: one contiguous row per candidate
+    columns = design_matrix(arrays, tuple(CANDIDATE_KINDS)).T
     entries = []
-    for name, kind in CANDIDATE_KINDS.items():
-        col = _COLUMN_BUILDERS[name](arrays)
+    for (name, kind), col in zip(CANDIDATE_KINDS.items(), columns):
         if kind == "categorical":
             metric, threshold = "cramers_v", tau_v
         else:

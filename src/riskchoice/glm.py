@@ -15,7 +15,12 @@ which is a view of the column-major designs of ``features.design_matrix``:
 each block is then a view of k row segments, and no block is copied. A pass
 holds only one block's temporaries (a k x ``_BLOCK_ROWS`` buffer for the
 weighted block, reused, and a few block-length vectors), never an n x k or
-full-length one.
+full-length one. A fit reads its design only through that transpose: the
+passes, the separation check and the ``standardize`` weights.
+
+Outside the fit, rows are scored by ``linear_predictor``, whose bits are
+those of a row-major product: the generator's latent,
+``FittedLogistic.predict`` and ``pipeline.model_probs``.
 """
 
 from __future__ import annotations
@@ -214,14 +219,17 @@ def linear_predictor(X, coeffs) -> np.ndarray:
     BLAS sums a row's k products in one order for a row-major matrix and in
     another for a column-major one, so X is first copied into row order: a
     design's scores, and the choices, probabilities and files made from
-    them, do not depend on how the design is stored.
+    them, do not depend on how the design is stored. It scores the
+    generator's latent, ``FittedLogistic.predict`` and
+    ``pipeline.model_probs``; ``fit_logistic`` never calls it.
     """
     return np.ascontiguousarray(X) @ coeffs
 
 
-def _separates(X, y, beta) -> bool:
-    """True when every row's margin (2y - 1) x'beta is strictly positive."""
-    return bool(np.all((2.0 * y - 1.0) * linear_predictor(X, beta) > 0))
+def _separates(XT, y, beta) -> bool:
+    """True when every row's margin (2y - 1) x'beta is strictly positive;
+    ``XT`` is the design's row-major k x n transpose (see _transposed)."""
+    return bool(np.all((2.0 * y - 1.0) * (beta @ XT) > 0))
 
 
 def fit_logistic(
@@ -274,13 +282,12 @@ def fit_logistic(
     else:
         feature_names = tuple(f"x{j}" for j in range(k))
 
+    XT = _transposed(X)
     mask = _penalty_mask(k)
     if standardize:
-        # a reduction's rounding depends on the layout; row order keeps one
-        variances = np.ascontiguousarray(X).var(axis=0)
+        variances = XT.var(axis=1)
         variances[variances == 0.0] = 1.0
         mask *= variances
-    XT = _transposed(X)
     beta = np.zeros(k)
     # every exit leaves ll, grad and hess evaluated at the final beta
     ll, grad, hess = _pass(beta, XT, y, l2_strength, mask)
@@ -298,7 +305,7 @@ def fit_logistic(
         if step is None or not np.all(np.isfinite(step)):
             # unpenalized separation can round every weight mu(1 - mu) to 0;
             # the separation check after the loop reports it
-            if l2_strength == 0.0 and _separates(X, y, beta):
+            if l2_strength == 0.0 and _separates(XT, y, beta):
                 break
             cond = np.linalg.cond(info)
             if step is None:
@@ -337,7 +344,7 @@ def fit_logistic(
     # sits on the correct side: the likelihood improves without bound along
     # the separating direction, so a small gradient there is saturation, not
     # a maximum
-    if l2_strength == 0.0 and _separates(X, y, beta):
+    if l2_strength == 0.0 and _separates(XT, y, beta):
         converged = False
         diagnostics.append(
             "possible separation: all observations classified perfectly, "

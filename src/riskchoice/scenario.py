@@ -145,6 +145,11 @@ def is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_list_of(value, check) -> bool:
     return isinstance(value, (list, tuple)) and all(map(check, value))
 

@@ -724,14 +724,6 @@ def _scratch(tmp_path_factory, name) -> Path:
     return folder
 
 
-# A value near the float limit can still overflow in the CPT layer, which
-# numpy warns of before the run ends with a documented exit code: with
-# gamma_max 465, sample_weight_curve's (-ln p) ** gamma overflows to inf,
-# which gives the weight's limit 0. Outside the test suite such a warning is
-# printed, not raised. The IRLS pass no longer warns (see test_glm's
-# huge-column test).
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestExitCodes:
     @settings(max_examples=200)
     @given(model=st.sampled_from(MODEL_KEYS), raw=dataset_bytes(), restarts=st.integers(1, 2))

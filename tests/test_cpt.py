@@ -802,6 +802,15 @@ class TestFit:
         for gamma_max in (0.0, math.inf, math.nan):
             with pytest.raises(InputError, match="gamma_max must be positive and finite"):
                 fit_cpt(arrays, n_restarts=2, gamma_max=gamma_max)
+        # numpy would raise ValueError or TypeError on these
+        for n_restarts in (1.5, True):
+            with pytest.raises(InputError, match="^n_restarts must be from 1 to"):
+                fit_cpt(arrays, n_restarts=n_restarts)
+        for seed in (-1, 1.5, True, "7"):
+            with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
+                fit_cpt(arrays, n_restarts=1, seed=seed)
+        numpy_ints = fit_cpt(arrays, n_restarts=np.int64(1), seed=np.uint8(7))
+        assert numpy_ints.params == fit_cpt(arrays, n_restarts=1, seed=7).params
 
     def test_empty_dataset_is_input_error(self):
         empty = sized(0, 1.0, 1.0)

@@ -70,6 +70,14 @@ class TestSplit:
         with pytest.raises(InputError):
             split(data, 1.0, seed=0)
 
+    def test_bad_seed_is_input_error(self):
+        # numpy would raise ValueError or TypeError on these
+        data = generate_dataset(GeneratorConfig(n=10, seed=4))
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(InputError, match="^seed must be a nonnegative integer"):
+                split(data, 0.8, seed)
+        assert split(data, 0.8, np.int64(3))[0].id.tolist() == split(data, 0.8, 3)[0].id.tolist()
+
 
 class TestAccuracy:
     def test_hand_counted(self):

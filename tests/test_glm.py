@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -592,6 +593,42 @@ class TestLayout:
         row_major = np.ascontiguousarray(X) @ coeffs
         for order in (np.ascontiguousarray, np.asfortranarray):
             assert glm.linear_predictor(order(X), coeffs).tobytes() == row_major.tobytes()
+
+
+class TestSeparationCheck:
+    """The separation check reads the fit's k x n transpose of the design."""
+
+    @settings(max_examples=300)
+    @given(
+        point=pass_points(),
+        separable=st.booleans(),
+        order=st.sampled_from([np.ascontiguousarray, np.asfortranarray]),
+    )
+    def test_verdict_is_the_sign_test_of_the_row_major_margins(self, point, separable, order):
+        X, y, coeffs, _ = point
+        if separable:
+            y = (X @ coeffs > 0).astype(float)
+        margins = (2.0 * y - 1.0) * (np.ascontiguousarray(X) @ coeffs)
+        # the two products may round a margin near 0 to opposite signs
+        assume(np.all(np.abs(margins) > 1e-9))
+        verdict = glm._separates(glm._transposed(order(X)), y, coeffs)
+        assert verdict == bool(np.all(margins > 0))
+
+    def test_allocates_less_than_a_copy_of_the_design(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        n, k = 50_000, 5
+        X = np.asfortranarray(np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))]))
+        beta = rng.normal(size=k)
+        y = (X @ beta > 0).astype(float)
+        XT = glm._transposed(X)
+        tracemalloc.start()
+        try:
+            verdict = glm._separates(XT, y, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict
+        assert peak < X.nbytes
 
 
 class TestBlockedPass:
