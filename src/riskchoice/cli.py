@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: ``generate`` (synthetic dataset), ``fit`` (one model on a
-dataset CSV), ``evaluate`` (a fitted-model JSON against a dataset), and
-``experiment`` (the full pipeline). All diagnostics go to stderr; data goes
-to files under --out (default from the RISKCHOICE_OUT environment variable,
-falling back to the working directory).
+Subcommands: ``generate`` (synthetic dataset), ``fit`` (one model family on
+a dataset CSV, fit and saved as ``experiment`` fits and saves it, and
+printed through one table), ``evaluate`` (a fitted-model JSON against a
+dataset), and ``experiment`` (the full pipeline). Every family is reached
+through its ``pipeline.MODELS`` record. All diagnostics go to stderr; data
+goes to files under --out (default from the RISKCHOICE_OUT environment
+variable, falling back to the working directory).
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 malformed input
 data, 3 numerical failure.
@@ -18,14 +20,13 @@ import os
 import sys
 from pathlib import Path
 
-from .cpt import PARAM_NAMES
 from .errors import ConfigError, DataParseError, InputError, NumericalError, UsageError
 from .pipeline import (
     MODEL_KEYS,
+    MODELS,
     ExperimentConfig,
     config_fields,
     evaluate_predictions,
-    fit_model,
     model_doc,
     model_probs,
     run_experiment,
@@ -51,7 +52,7 @@ _FLAG_NAMES = {
 }
 
 # The config fields and sections that ``fit`` takes flags for.
-_FIT_FIELDS = ("l2", "standardize_blackbox", "cpt")
+_FIT_FIELDS = ("tau_v", "tau_eta", "l2", "cpt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,20 +116,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _print_coeff_table(names, coeffs, std_errors) -> None:
-    width = max(len(n) for n in names)
-    print(f"{'feature':<{width}}  {'coeff':>12}  {'std_err':>12}")
-    for i, name in enumerate(names):
-        se = "-" if std_errors is None else f"{std_errors[i]:>12.6f}"
-        print(f"{name:<{width}}  {coeffs[i]:>12.6f}  {se}")
-
-
-def _print_cpt_table(fit) -> None:
-    print(f"{'param':<8}  {'estimate':>12}  {'std_err':>12}")
-    for name, est, se in zip(PARAM_NAMES, fit.params.as_tuple(), fit.std_errors):
+def _print_table(rows, log_likelihood: float, n: int) -> None:
+    """Print a fit's (name, estimate, SE or None) rows and its log-likelihood."""
+    # no family's parameter name is longer than the header's 9 characters
+    print(f"{'parameter':<9}  {'estimate':>12}  {'std_err':>12}")
+    for name, est, se in rows:
         se_s = "undefined" if se is None else f"{se:.6f}"
-        print(f"{name:<8}  {est:>12.6f}  {se_s:>12}")
-    print(f"log-likelihood: {fit.log_likelihood:.6f} over {fit.n_obs} choices")
+        print(f"{name:<9}  {est:>12.6f}  {se_s:>12}")
+    print(f"log-likelihood: {log_likelihood:.6f} over {n} choices")
 
 
 def cmd_fit(args) -> int:
@@ -136,11 +131,9 @@ def cmd_fit(args) -> int:
     arrays = read_dataset_csv(args.dataset)
     out = _out_dir(args)
 
-    fit = fit_model(args.model, arrays, cfg)
-    if args.model == "cpt":
-        _print_cpt_table(fit)
-    else:
-        _print_coeff_table(fit.feature_names, fit.coeffs, fit.std_errors)
+    family = MODELS[args.model]
+    fit = family.fit(arrays, cfg)
+    _print_table(family.rows(fit), fit.log_likelihood, len(arrays))
 
     path = out / f"{args.model}_model.json"
     path.write_text(json_text(model_doc(args.model, fit)), encoding="ascii")

@@ -16,7 +16,7 @@ each block is then a view of k row segments, and no block is copied. A pass
 holds only one block's temporaries (a k x ``_BLOCK_ROWS`` buffer for the
 weighted block, reused, and a few block-length vectors), never an n x k or
 full-length one. A fit reads its design only through that transpose: the
-passes, the separation check and the ``standardize`` weights.
+passes and the separation check.
 
 Outside the fit, rows are scored by ``linear_predictor``, whose bits are
 those of a row-major product: the generator's latent,
@@ -239,12 +239,11 @@ def fit_logistic(
     *,
     feature_names=None,
     tol: float = DEFAULT_TOL,
-    standardize: bool = False,
 ) -> FittedLogistic:
     """Fit a logistic regression by Newton/IRLS.
 
-    Maximizes the log-likelihood minus (l2_strength/2) times the weighted
-    squared norm of the non-intercept coefficients. Each Newton step is
+    Maximizes the log-likelihood minus (l2_strength/2) times the squared
+    norm of the non-intercept coefficients. Each Newton step is
     halved until the penalized objective does not decrease; a step that no
     halving makes non-decreasing ends the fit. The fit has converged once
     half the Newton decrement of the summed objective, g'(-H)^-1 g / 2, is
@@ -255,10 +254,6 @@ def fit_logistic(
     Each line-search candidate costs one blocked pass over the rows that
     gives its log-likelihood, gradient and Hessian together, and a pass
     holds only one block's temporaries.
-
-    The penalty weights are 1, or with ``standardize=True`` each column's
-    variance (1 for a constant column): ridge on centered, scaled columns,
-    stated on the raw ones. Without a penalty the flag changes nothing.
 
     Raises
     ------
@@ -284,10 +279,6 @@ def fit_logistic(
 
     XT = _transposed(X)
     mask = _penalty_mask(k)
-    if standardize:
-        variances = XT.var(axis=1)
-        variances[variances == 0.0] = 1.0
-        mask *= variances
     beta = np.zeros(k)
     # every exit leaves ll, grad and hess evaluated at the final beta
     ll, grad, hess = _pass(beta, XT, y, l2_strength, mask)

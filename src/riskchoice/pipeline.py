@@ -1,4 +1,10 @@
-"""End-to-end experiment: generate, split, select, fit, evaluate, emit.
+"""End-to-end experiment: generate, split, fit, evaluate, emit.
+
+The three model families are records in ``MODELS``: each says how it is
+fit, how its saved document scores scenarios, and which rows its
+coefficient table holds, and the CLI and the pipeline reach a family only
+through its record. The symbolic family's fit is effect-size screening on
+the training rows followed by a logistic fit on the kept columns.
 
 The pipeline writes every artifact with fixed float formatting and no
 timestamps, so a rerun with the same configuration produces byte-identical
@@ -12,6 +18,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .features import (
     DEFAULT_TAU_ETA,
     DEFAULT_TAU_V,
     RAW_NAMES,
-    SYMBOLIC_NAMES,
+    EffectSizeReport,
     design_matrix,
     select_features,
 )
@@ -46,16 +53,6 @@ log = logging.getLogger(__name__)
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_TRAIN_FRAC = 0.8
 
-# The three model families, in table order: key -> (display name, fixed
-# qualitative interpretability label). The label is an editorial constant
-# attached to the model class, not a computed metric.
-MODELS = {
-    "symbolic": ("Symbolic", "High"),
-    "blackbox": ("Black-box", "Low"),
-    "cpt": ("CPT", "Moderate"),
-}
-MODEL_KEYS = tuple(MODELS)
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -63,7 +60,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class CptSettings:
-    """Estimation settings for the parametric choice model."""
+    """Estimation settings for the parametric choice model: the keyword
+    arguments of ``cpt.fit_cpt``."""
 
     n_restarts: int = cpt_mod.DEFAULT_RESTARTS
     seed: int = cpt_mod.DEFAULT_FIT_SEED
@@ -91,7 +89,6 @@ class ExperimentConfig:
     tau_v: float = DEFAULT_TAU_V
     tau_eta: float = DEFAULT_TAU_ETA
     l2: float = 0.0
-    standardize_blackbox: bool = False
     cpt: CptSettings = field(default_factory=CptSettings)
     emit_svg: bool = True
 
@@ -146,33 +143,6 @@ def _from_json(cls, doc: dict, section: str):
     return cls(**kwargs)
 
 
-def fit_model(
-    key: str, train: ScenarioArrays, cfg: ExperimentConfig, symbolic_names=SYMBOLIC_NAMES
-):
-    """Fit model family ``key`` (one of MODEL_KEYS) on ``train``.
-
-    The symbolic model uses the feature columns ``symbolic_names``, the
-    black-box model the raw columns; both are logistic fits with ``cfg.l2``.
-    CPT is fit with ``cfg.cpt``.
-    """
-    if key == "cpt":
-        return cpt_mod.fit_cpt(
-            train, n_restarts=cfg.cpt.n_restarts, seed=cfg.cpt.seed, gamma_max=cfg.cpt.gamma_max
-        )
-    names = symbolic_names if key == "symbolic" else RAW_NAMES
-    fit = fit_logistic(
-        design_matrix(train, names),
-        train.choice,
-        cfg.l2,
-        feature_names=names,
-        standardize=key == "blackbox" and cfg.standardize_blackbox,
-    )
-    if not fit.converged:
-        for note in fit.diagnostics:
-            log.warning("%s", note)
-    return fit
-
-
 def model_doc(key: str, fit) -> dict:
     """The saved form of a fitted model, as ``evaluate`` reads it."""
     return {"model": key, **fit.to_json_dict()}
@@ -184,6 +154,95 @@ def _doc_value(doc: dict, key: str, ok, want: str):
     if not ok(doc[key]):
         raise DataParseError(f"model JSON {key} must be {want}, got {doc[key]!r}")
     return doc[key]
+
+
+def _logistic_fit(train: ScenarioArrays, names, cfg: ExperimentConfig) -> FittedLogistic:
+    """The logistic fit of the columns ``names`` of ``train`` with ``cfg.l2``;
+    a fit that did not converge logs its diagnostics as warnings."""
+    fit = fit_logistic(design_matrix(train, names), train.choice, cfg.l2, feature_names=names)
+    if not fit.converged:
+        for note in fit.diagnostics:
+            log.warning("%s", note)
+    return fit
+
+
+class SymbolicFit(FittedLogistic):
+    """The symbolic family's fit: the logistic fit ``model`` of the columns
+    that the effect-size screen of the training rows kept, with that
+    screen's report ``screening``. It is saved as the logistic fit."""
+
+    def __init__(self, screening: EffectSizeReport, model: FittedLogistic):
+        super().__init__(**vars(model))
+        self.screening = screening
+
+
+class Family(NamedTuple):
+    """One model family: its display name and its fixed qualitative
+    interpretability label, an editorial constant attached to the model
+    class, not a computed metric.
+
+    Each family's record adds ``fit(train, cfg)``, its fit on training rows
+    with the settings of an ExperimentConfig; ``probs(doc, arrays)``, P(risky)
+    per scenario under its saved document (see model_doc), raising
+    DataParseError for an ill-formed one; and ``rows(fit)``, one
+    ``(name, estimate, SE or None)`` per parameter of a fit.
+    """
+
+    name: str
+    interpretability: str
+
+
+class _Logistic(Family):
+    def probs(self, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
+        features = _doc_value(
+            doc,
+            "features",
+            lambda v: is_list_of(v, lambda s: isinstance(s, str)),
+            "a list of names",
+        )
+        coeffs = _doc_value(doc, "coeffs", lambda v: is_list_of(v, is_number), "a list of numbers")
+        if len(features) != len(coeffs):
+            raise DataParseError("model JSON features and coeffs lengths differ")
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise DataParseError("model JSON coeffs must all be finite")
+        return sigmoid(linear_predictor(design_matrix(arrays, features), coeffs))
+
+    def rows(self, fit: FittedLogistic):
+        se = fit.std_errors
+        return zip(fit.feature_names, fit.coeffs, [None] * len(fit.coeffs) if se is None else se)
+
+
+class _Symbolic(_Logistic):
+    def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> SymbolicFit:
+        screening = select_features(train, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
+        return SymbolicFit(screening, _logistic_fit(train, screening.retained_names(), cfg))
+
+
+class _Blackbox(_Logistic):
+    def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> FittedLogistic:
+        return _logistic_fit(train, RAW_NAMES, cfg)
+
+
+class _Cpt(Family):
+    def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> cpt_mod.CptFit:
+        return cpt_mod.fit_cpt(train, **asdict(cfg.cpt))
+
+    def probs(self, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
+        values = [_doc_value(doc, name, is_number, "a number") for name in cpt_mod.PARAM_NAMES]
+        return cpt_mod.choice_prob_array(arrays, cpt_mod.CptParams(*values))
+
+    def rows(self, fit: cpt_mod.CptFit):
+        return zip(cpt_mod.PARAM_NAMES, fit.params.as_tuple(), fit.std_errors)
+
+
+# The three model families, in table order.
+MODELS = {
+    "symbolic": _Symbolic("Symbolic", "High"),
+    "blackbox": _Blackbox("Black-box", "Low"),
+    "cpt": _Cpt("CPT", "Moderate"),
+}
+MODEL_KEYS = tuple(MODELS)
 
 
 def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
@@ -203,7 +262,7 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
     if key not in MODEL_KEYS:
         raise DataParseError(f"model JSON has unknown model kind {key!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _doc_probs(key, doc, arrays)
+        probs = MODELS[key].probs(doc, arrays)
     bad = int(np.count_nonzero(~np.isfinite(probs)))
     if bad:
         raise NumericalError(
@@ -212,29 +271,12 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
     return probs
 
 
-def _doc_probs(key: str, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
-    if key == "cpt":
-        values = [_doc_value(doc, name, is_number, "a number") for name in cpt_mod.PARAM_NAMES]
-        return cpt_mod.choice_prob_array(arrays, cpt_mod.CptParams(*values))
-    features = _doc_value(
-        doc, "features", lambda v: is_list_of(v, lambda s: isinstance(s, str)), "a list of names"
-    )
-    coeffs = _doc_value(doc, "coeffs", lambda v: is_list_of(v, is_number), "a list of numbers")
-    if len(features) != len(coeffs):
-        raise DataParseError("model JSON features and coeffs lengths differ")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise DataParseError("model JSON coeffs must all be finite")
-    return sigmoid(linear_predictor(design_matrix(arrays, features), coeffs))
-
-
 def evaluate_predictions(key: str, probs, y) -> dict:
     """Held-out accuracy and AUC of model family ``key``, as ``report.json``
     records them; the AUC is None, with a warning, when ``y`` holds a single
     class."""
     if key not in MODELS:
         raise InputError(f"unknown model key {key!r}")
-    name, interpretability = MODELS[key]
     y = np.asarray(y)
     acc = accuracy(probs, y)
     try:
@@ -243,11 +285,11 @@ def evaluate_predictions(key: str, probs, y) -> dict:
         log.warning("AUC for %s undefined: %s", key, exc)
         auc_value = None
     return {
-        "model": name,
+        "model": MODELS[key].name,
         "accuracy": acc,
         "auc": auc_value,
         "n_test": int(y.shape[0]),
-        "interpretability": interpretability,
+        "interpretability": MODELS[key].interpretability,
     }
 
 
@@ -292,14 +334,14 @@ def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run the whole pipeline and write all artifacts under ``out_dir``.
 
-    Stages: generate the dataset, split it, screen features, fit the
-    symbolic and raw-feature logistic models and the parametric choice model
-    on the training side, score all three on the test side, and emit the
-    dataset, per-model JSONs, the comparison table, curve CSVs (plus SVG
-    renderings unless disabled), and a JSON report that echoes the config.
-    Screening sees only the training side, so the test rows take no part in
-    choosing the features that are scored on them. Returns the report
-    document, as written to ``report.json``.
+    Stages: generate the dataset, split it, fit each family of MODELS on
+    the training side (the symbolic fit screens the features first), save
+    the screening report and the fits, score all three on the test side, and
+    emit the dataset, the comparison table, curve CSVs (plus SVG renderings
+    unless disabled), and a JSON report that echoes the config. Screening
+    sees only the training side, so the test rows take no part in choosing
+    the features that are scored on them. Returns the report document, as
+    written to ``report.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,17 +362,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         stage = "split"
         train, test = split(data, cfg.train_frac, cfg.split_seed)
 
-        stage = "select_features"
-        effect_report = select_features(train, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
-        retained = effect_report.retained_names()
-        emit("effect_sizes.json", json_text(effect_report.to_json_list()))
-
-        fits, docs = {}, {}
-        for key in MODEL_KEYS:
+        fits = {}
+        for key, family in MODELS.items():
             stage = f"fit_{key}"
-            fits[key] = fit_model(key, train, cfg, retained)
-            docs[key] = model_doc(key, fits[key])
-            emit(f"{key}_model.json", json_text(docs[key]))
+            fits[key] = family.fit(train, cfg)
+
+        stage = "save_fits"
+        screening = fits["symbolic"].screening
+        emit("effect_sizes.json", json_text(screening.to_json_list()))
+        docs = {key: model_doc(key, fit) for key, fit in fits.items()}
+        for key, doc in docs.items():
+            emit(f"{key}_model.json", json_text(doc))
 
         stage = "evaluate"
         metrics = {
@@ -382,8 +424,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         stage = "report"
         report_doc = {
             "config": cfg.to_json_dict(),
-            "effect_sizes": effect_report.to_json_list(),
-            "retained_features": list(retained),
+            "effect_sizes": screening.to_json_list(),
+            "retained_features": list(screening.retained_names()),
             "models": {
                 key: {"fit": fits[key].to_json_dict(), "metrics": metrics[key]}
                 for key in MODEL_KEYS

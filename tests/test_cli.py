@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskchoice
-from riskchoice import DEFAULT_TRUE_COEFFS, GeneratorConfig, cpt, design_matrix, generate_dataset
+from riskchoice import (
+    DEFAULT_TRUE_COEFFS,
+    GeneratorConfig,
+    cpt,
+    design_matrix,
+    generate_dataset,
+    split,
+)
 from riskchoice.cli import _config, build_parser, entry, main
 from riskchoice.features import RAW_NAMES, SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
@@ -106,13 +113,40 @@ class TestGenerate:
 
 class TestFit:
     def test_symbolic_fit_json_and_table(self, dataset_csv, tmp_path, capsys):
-        assert run_cli("fit", "symbolic", str(dataset_csv), "--out", str(tmp_path)) == 0
+        # the symbolic fit screens first: low_prob's Cramér's V of 0.116 on
+        # this dataset falls below tau_v = 0.2
+        out = str(tmp_path)
+        assert run_cli("fit", "symbolic", str(dataset_csv), "--tau-v", "0.2", "--out", out) == 0
         doc = json.loads((tmp_path / "symbolic_model.json").read_text())
         assert doc["model"] == "symbolic"
-        assert doc["features"] == list(SYMBOLIC_NAMES)
-        assert len(doc["coeffs"]) == 5
-        table = capsys.readouterr().out
-        assert "intercept" in table and "coeff" in table
+        assert doc["features"] == ["intercept", "frame", "magnitude", "dominance"]
+        assert len(doc["coeffs"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "parameter      estimate       std_err"
+        assert [line.split()[0] for line in lines[1:5]] == doc["features"]
+        assert lines[5] == f"log-likelihood: {doc['log_likelihood']:.6f} over 400 choices"
+        # every family prints through the same table: on gain-only data the
+        # CPT fit leaves beta and lambda without an SE
+        assert run_cli("fit", "cpt", str(dataset_csv), "--restarts", "1", "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "parameter      estimate       std_err"
+        missing = [line.split()[0] for line in lines[1:6] if line.endswith("    undefined")]
+        assert missing == ["beta", "lambda"]
+
+    @pytest.mark.parametrize("flags", [[], ["--tau-v", "0.05"]], ids=["defaults", "tau_v_0.05"])
+    def test_symbolic_fit_writes_the_experiments_model(self, tmp_path, flags):
+        # tau_v = 0.05 keeps low_prob (Cramér's V 0.0621 on the default
+        # training split), which the default tau_v = 0.1 drops
+        experiment, fit = tmp_path / "experiment", tmp_path / "fit"
+        train_csv = tmp_path / "train.csv"
+        assert run_cli("experiment", *flags, "--out", str(experiment)) == 0
+        cfg = ExperimentConfig()
+        train, _ = split(generate_dataset(cfg.generator), cfg.train_frac, cfg.split_seed)
+        write_dataset_csv(train, train_csv)
+        assert run_cli("fit", "symbolic", str(train_csv), *flags, "--out", str(fit)) == 0
+        fitted = (fit / "symbolic_model.json").read_bytes()
+        assert fitted == (experiment / "symbolic_model.json").read_bytes()
+        assert ("low_prob" in json.loads(fitted)["features"]) == bool(flags)
 
     def test_cpt_fit_deterministic(self, dataset_csv, tmp_path):
         for sub in ("a", "b"):
@@ -169,14 +203,15 @@ class TestFit:
         assert run_cli("fit", "symbolic", str(tmp_path / "nope.csv")) == 2
 
     def test_collinear_design_is_numerical_error(self, tmp_path):
-        # frame constant +1 duplicates the intercept column
+        # frame constant +1 duplicates the raw design's intercept column (the
+        # symbolic fit's screen drops a constant column)
         rows = ["id,safe,risky,p,frame,choice"]
         rng = np.random.Generator(np.random.PCG64(3))
         for i in range(40):
             rows.append(f"{i},{rng.uniform(0, 100):.6f},{rng.uniform(0, 150):.6f},0.5,1,{i % 2}")
         path = tmp_path / "flat.csv"
         path.write_text("\n".join(rows) + "\n")
-        assert run_cli("fit", "symbolic", str(path), "--out", str(tmp_path)) == 3
+        assert run_cli("fit", "blackbox", str(path), "--out", str(tmp_path)) == 3
 
     def test_unknown_model_is_usage_error(self, dataset_csv):
         assert run_cli("fit", "oracle", str(dataset_csv)) == 1
@@ -421,15 +456,20 @@ class TestExperiment:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json")) == 1
 
-    def test_screening_on_the_full_data_is_no_option(self, tmp_path, capsys):
-        # the test rows must not choose the features that are scored on them
+    @pytest.mark.parametrize("key", ["select_on_full", "standardize_blackbox"])
+    def test_screening_on_the_full_data_is_no_option(self, dataset_csv, tmp_path, capsys, key):
+        # removed options: the test rows must not choose the features that
+        # are scored on them, and a per-column ridge weight changed no output
+        # at the default l2 = 0
         out = tmp_path / "out"
-        assert run_cli("experiment", "--select-on-full", "--out", str(out)) == 1
-        assert "unrecognized arguments: --select-on-full" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        for argv in (["experiment"], ["fit", "blackbox", str(dataset_csv)]):
+            assert run_cli(*argv, flag, "--out", str(out)) == 1
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"select_on_full": True}))
+        cfg_path.write_text(json.dumps({key: True}))
         assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: unknown config keys: ['select_on_full']\n"
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -478,11 +518,11 @@ class TestUsage:
 
         assert flags("generate") == {"--n", "--seed", "--true-coeffs", "--out"}
         assert flags("fit") == {
-            "--l2", "--standardize-blackbox", "--restarts", "--cpt-seed", "--gamma-max", "--out"
+            "--tau-v", "--tau-eta", "--l2", "--restarts", "--cpt-seed", "--gamma-max", "--out"
         }
         assert flags("experiment") == {
             "--n", "--seed", "--true-coeffs", "--train-frac", "--split-seed", "--tau-v",
-            "--tau-eta", "--l2", "--standardize-blackbox", "--restarts",
+            "--tau-eta", "--l2", "--restarts",
             "--cpt-seed", "--gamma-max", "--no-svg", "--config", "--out",
         }
         assert flags("evaluate") == {"--out"}
@@ -491,17 +531,19 @@ class TestUsage:
         argv = [
             "experiment", "--n", "300", "--seed", "3", "--true-coeffs=1,2,3,4,5",
             "--train-frac", "0.7", "--split-seed", "4", "--tau-v", "0.2", "--tau-eta", "0.03",
-            "--l2", "0.5", "--standardize-blackbox", "--restarts", "6",
+            "--l2", "0.5", "--restarts", "6",
             "--cpt-seed", "8", "--gamma-max", "4", "--no-svg",
         ]
         cfg = _config(build_parser().parse_args(argv), {})
         assert cfg == ExperimentConfig(
             generator=GeneratorConfig(n=300, seed=3, true_coeffs=(1, 2, 3, 4, 5)),
             train_frac=0.7, split_seed=4, tau_v=0.2, tau_eta=0.03, l2=0.5,
-            standardize_blackbox=True,
             cpt=CptSettings(n_restarts=6, seed=8, gamma_max=4.0), emit_svg=False,
         )
         assert _config(build_parser().parse_args(["experiment"]), {}) == ExperimentConfig()
+        argv = ["fit", "symbolic", "data.csv", "--tau-v", "0.05", "--tau-eta", "0.02"]
+        cfg = _config(build_parser().parse_args(argv), {})
+        assert cfg == ExperimentConfig(tau_v=0.05, tau_eta=0.02)
 
 
 def package_env() -> dict:
@@ -696,7 +738,6 @@ def config_documents(draw):
         "tau_v": draw(st.floats(0, 1)),
         "tau_eta": draw(st.floats(0, 1)),
         "l2": draw(st.floats(0, 10) | st.floats(0, allow_infinity=False)),
-        "standardize_blackbox": draw(st.booleans()),
         "cpt": {
             "n_restarts": draw(st.integers(1, 2)),
             "seed": draw(st.integers(0)),

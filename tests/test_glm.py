@@ -307,30 +307,6 @@ class TestFitLogistic:
         np.testing.assert_allclose(fit.covariance, fit.covariance.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(fit.covariance)) > 0
 
-    def test_standardize_changes_nothing_observable(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        n = 500
-        X = np.column_stack([np.ones(n), rng.uniform(0, 100, n), rng.uniform(0, 150, n)])
-        beta = np.array([-0.5, 0.03, -0.02])
-        y = (rng.random(n) < sigmoid(X @ beta)).astype(float)
-        raw = fit_logistic(X, y)
-        std = fit_logistic(X, y, standardize=True)
-        np.testing.assert_allclose(std.coeffs, raw.coeffs, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(std.predict(X), raw.predict(X), atol=1e-7)
-        np.testing.assert_allclose(std.std_errors, raw.std_errors, rtol=1e-4)
-
-    def test_standardize_leaves_a_column_major_design_alone(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        n = 500
-        X = np.asfortranarray(
-            np.column_stack([np.ones(n), rng.uniform(0, 100, n), rng.uniform(0, 150, n)])
-        )
-        y = (rng.random(n) < sigmoid(X @ np.array([-0.5, 0.03, -0.02]))).astype(float)
-        original = X.copy()
-        fit = fit_logistic(X, y, standardize=True)
-        np.testing.assert_array_equal(X, original)
-        assert fit.log_likelihood == log_likelihood(fit.coeffs, X, y)
-
     def test_log_likelihood_nonpositive_and_preconditions(self):
         rng = np.random.Generator(np.random.PCG64(12))
         X, y = _random_instance(rng)
@@ -388,70 +364,6 @@ class TestFitLogistic:
         assert doc["features"] == ["intercept", "a", "b", "c"]
         assert doc["l2"] == 0.25
         assert len(doc["covariance"]) == 4
-
-
-@st.composite
-def scaled_designs(draw, lowest, highest):
-    """A design of 40-200 rows: an intercept column and 1-3 columns whose
-    scales (and offsets) run from 10**lowest to 10**highest, with 0/1
-    responses drawn from a logistic model on the standardized columns."""
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(40, 200))
-    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
-    z = rng.normal(size=(n, k - 1))
-    scales = 10.0 ** rng.uniform(lowest, highest, k - 1)
-    offsets = scales * rng.normal(size=k - 1)
-    X = np.column_stack([np.ones(n), z * scales + offsets])
-    y = (rng.random(n) < sigmoid(rng.normal() * 0.5 + z @ rng.normal(size=k - 1))).astype(float)
-    assume(0 < y.sum() < n)
-    return X, y
-
-
-def standardized_reference(X, y, l2):
-    """Ridge on standardized columns as a second design: center and scale
-    the non-intercept columns, fit, and map the estimates and covariance back
-    to the raw columns. Returns (coefficients, covariance, iterations)."""
-    k = X.shape[1]
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    means[0] = 0.0
-    scales[0] = 1.0
-    scales[scales == 0.0] = 1.0
-    fit = fit_logistic((X - means) / scales, y, l2)
-    transform = np.eye(k)
-    for j in range(1, k):
-        transform[j, j] = 1.0 / scales[j]
-        transform[0, j] = -means[j] / scales[j]
-    cov = transform @ fit.covariance @ transform.T
-    return transform @ fit.coeffs, (cov + cov.T) / 2.0, fit.iterations
-
-
-class TestStandardize:
-    """``standardize`` weights each coefficient's L2 penalty by its column's
-    variance; Newton's method and its stop test do not see the columns'
-    scales."""
-
-    @settings(max_examples=200)
-    @given(design=scaled_designs(-3.0, 4.0))
-    def test_no_penalty_changes_nothing(self, design):
-        X, y = design
-        raw = fit_logistic(X, y)
-        assume(not any("separation" in d for d in raw.diagnostics))
-        std = fit_logistic(X, y, standardize=True)
-        assert std.iterations == raw.iterations
-        assert std.converged == raw.converged
-        assert np.all(np.abs(std.coeffs - raw.coeffs) <= 1e-6 * raw.std_errors)
-
-    @settings(max_examples=200)
-    @given(design=scaled_designs(-7.0, 7.0), l2=st.floats(0.01, 10.0))
-    def test_penalty_matches_a_standardized_design(self, design, l2):
-        X, y = design
-        fit = fit_logistic(X, y, l2, standardize=True)
-        coeffs, cov, iterations = standardized_reference(X, y, l2)
-        assert fit.iterations == iterations
-        se = np.sqrt(np.diag(cov))
-        assert np.all(np.abs(fit.coeffs - coeffs) <= 1e-6 * se)
-        assert np.all(np.abs(fit.covariance - cov) <= 1e-6 * np.outer(se, se))
 
 
 # x = (-3, -2, -1, 1, 2, 3) with y = x > 0 is perfectly separated: the
@@ -570,12 +482,12 @@ class TestLayout:
     column-major changes no bit of either."""
 
     @settings(max_examples=150)
-    @given(case=small_fits(), standardize=st.booleans())
-    def test_fit_is_bitwise_the_same_on_either_layout(self, case, standardize):
+    @given(case=small_fits())
+    def test_fit_is_bitwise_the_same_on_either_layout(self, case):
         X, y, l2, tol = case
         with mock.patch.object(glm, "_BLOCK_ROWS", SMALL_BLOCK):
             c_fit, f_fit = (
-                fit_logistic(order(X), y, l2, tol=tol, standardize=standardize)
+                fit_logistic(order(X), y, l2, tol=tol)
                 for order in (np.ascontiguousarray, np.asfortranarray)
             )
         assert c_fit.coeffs.tobytes() == f_fit.coeffs.tobytes()

@@ -30,7 +30,6 @@ configs = st.builds(
     tau_v=nonnegative,
     tau_eta=nonnegative,
     l2=nonnegative,
-    standardize_blackbox=st.booleans(),
     cpt=st.builds(
         CptSettings,
         n_restarts=st.integers(1, 10**6),
@@ -137,8 +136,7 @@ class TestConfig:
     def test_json_keeps_the_field_order(self):
         doc = ExperimentConfig().to_json_dict()
         assert list(doc) == [
-            "generator", "train_frac", "split_seed", "tau_v", "tau_eta", "l2",
-            "standardize_blackbox", "cpt", "emit_svg",
+            "generator", "train_frac", "split_seed", "tau_v", "tau_eta", "l2", "cpt", "emit_svg",
         ]
         assert list(doc["generator"]) == ["n", "seed", "true_coeffs"]
         assert list(doc["cpt"]) == ["n_restarts", "seed", "gamma_max"]
