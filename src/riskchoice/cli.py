@@ -51,9 +51,6 @@ _FLAG_NAMES = {
     ("emit_svg",): "--no-svg",
 }
 
-# The config fields and sections that ``fit`` takes flags for.
-_FIT_FIELDS = ("tau_v", "tau_eta", "l2", "cpt")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad usage as an exception instead of exiting."""
@@ -189,10 +186,13 @@ def build_parser() -> _Parser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_fit = sub.add_parser("fit", help="fit one model to a dataset CSV")
-    p_fit.add_argument("model", choices=MODEL_KEYS)
-    p_fit.add_argument("dataset", help="path to a dataset CSV")
-    _add_config_flags(p_fit, lambda path: path[0] in _FIT_FIELDS)
-    p_fit.add_argument("--out", type=str, default=None, help="output directory")
+    models = p_fit.add_subparsers(dest="model", required=True, metavar="MODEL")
+    for key, family in MODELS.items():
+        # the flags of the config fields that this family's fit reads
+        p_model = models.add_parser(key, help=f"fit the {family.name} model")
+        p_model.add_argument("dataset", help="path to a dataset CSV")
+        _add_config_flags(p_model, lambda path, settings=family.settings: path[0] in settings)
+        p_model.add_argument("--out", type=str, default=None, help="output directory")
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("evaluate", help="score a fitted model on a dataset")

@@ -185,7 +185,9 @@ class Family(NamedTuple):
     with the settings of an ExperimentConfig; ``probs(doc, arrays)``, P(risky)
     per scenario under its saved document (see model_doc), raising
     DataParseError for an ill-formed one; and ``rows(fit)``, one
-    ``(name, estimate, SE or None)`` per parameter of a fit.
+    ``(name, estimate, SE or None)`` per parameter of a fit. Its
+    ``settings`` name the ExperimentConfig fields and sections that ``fit``
+    reads.
     """
 
     name: str
@@ -214,17 +216,23 @@ class _Logistic(Family):
 
 
 class _Symbolic(_Logistic):
+    settings = ("tau_v", "tau_eta", "l2")
+
     def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> SymbolicFit:
         screening = select_features(train, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
         return SymbolicFit(screening, _logistic_fit(train, screening.retained_names(), cfg))
 
 
 class _Blackbox(_Logistic):
+    settings = ("l2",)
+
     def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> FittedLogistic:
         return _logistic_fit(train, RAW_NAMES, cfg)
 
 
 class _Cpt(Family):
+    settings = ("cpt",)
+
     def fit(self, train: ScenarioArrays, cfg: ExperimentConfig) -> cpt_mod.CptFit:
         return cpt_mod.fit_cpt(train, **asdict(cfg.cpt))
 

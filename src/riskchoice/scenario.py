@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -48,14 +47,10 @@ _COLUMN_DTYPES = {
     "choice": np.int64,
 }
 
-_CSV_DTYPE = np.dtype([(name, _COLUMN_DTYPES[name]) for name in CSV_HEADER])
-
 # Rows formatted per write call. At 8192 rows the float kernel's temporaries
 # (64 KiB each) and the chunk's 1.4 MB row buffer stay in cache; at 65536 rows
 # the same write of 1M rows took about 30% longer.
 _CSV_CHUNK_ROWS = 1 << 13
-
-_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -483,16 +478,20 @@ def write_dataset_csv(data: ScenarioArrays, path: str | Path) -> None:
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
+# The reader cuts each block of lines into fields at its bytes below ",".
+# Where those are five commas and a "\n" per line, as in the writer's lines
+# (a "+" inside a field and the "\r" of a "\r\n" set aside), the block is
+# cut there directly. Any other block is cut into lines where str.splitlines
+# cuts ASCII text, blank lines are skipped, and each other line is cut at its
+# commas alone.
+#
 # The reader's kernel takes a field that is an optional "-" and then digits
 # with at most one ".", as the writer emits them. It reads the window of
 # 64-bit words that ends at the field's last byte (three words for a float,
 # one for frame and choice, and one for an id when every id field of the
 # block fits 8 bytes, else three) and holds each byte as byte ^ "0": a
 # digit's value, 0x1e for the point, and 0 for every byte ahead of the field.
-# Any other field is converted on its own by float() or _int64(), as
-# _parse_lines converts it.
-_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode("ascii")
-_HEADER_CRLF = _HEADER_LINE[:-1] + b"\r\n"
+# Any other field is converted on its own by float() or _int64().
 _LINE_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
 # Bytes parsed at a time. A block's temporaries go back to the heap, which the
 # caller's later work reuses; with 512 KiB blocks a read of 1M rows took 9%
@@ -546,10 +545,6 @@ _BIASED_POWER2 = np.array(
 )
 _MASK32 = (1 << 32) - 1
 _MANTISSA = (1 << 52) - 1
-
-
-class _Unparsed(Exception):
-    """The file needs the line-by-line parser."""
 
 
 def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -668,38 +663,111 @@ def _parse_floats(buf, starts, ends):
     return np.copysign(value, np.where(negative, -1.0, 1.0)), ok
 
 
-def _convert_fields(buf, starts, ends, ok, values, convert) -> None:
-    """Convert each field the kernel did not take with ``convert``."""
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            values[i] = convert(buf[starts[i] : ends[i]].tobytes().decode("ascii"))
-        except ValueError:  # UnicodeDecodeError included
-            raise _Unparsed from None
+def _convert_rows(buf, starts, ends, columns, done) -> list[tuple[int, int, str]]:
+    """Convert the fields at ``starts`` and ``ends`` (six by rows) into the
+    rows of ``columns`` from ``done`` on; the row, column and error message
+    of each field that does not convert."""
+    rows = ends.shape[1]
+    failed = []
+    # id, in one window word when every id field fits it; the three float
+    # columns in one pass; frame and choice in one
+    id_words = 1 if int(np.max(ends[0] - starts[0])) <= 8 else _WINDOW_WORDS
+    for cols, parse, convert in (
+        (slice(0, 1), partial(_parse_ints, words=id_words), _int64),
+        (slice(1, 4), _parse_floats, float),
+        (slice(4, 6), partial(_parse_ints, words=1), _int64),
+    ):
+        first, last = starts[cols].ravel(), ends[cols].ravel()
+        values, ok = parse(buf, first, last)
+        # each field the kernel did not take, on its own
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                values[i] = convert(buf[first[i] : last[i]].tobytes().decode("ascii"))
+            except ValueError as exc:  # UnicodeDecodeError included
+                failed.append((i % rows, cols.start + i // rows, str(exc)))
+        for name, part in zip(CSV_HEADER[cols], values.reshape(-1, rows)):
+            columns[name][done : done + rows] = part
+    return failed
 
 
-def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
-    """The columns of the CSV bytes buf[:size], or _Unparsed when a line
-    needs _parse_lines. buf has one byte of room after them."""
-    # the header may end in "\r\n", as any line may
-    head = buf[: min(size, len(_HEADER_CRLF))].tobytes()
-    start = next((len(h) for h in (_HEADER_LINE, _HEADER_CRLF) if head.startswith(h)), size)
-    if size <= start:
-        raise _Unparsed
+def _breaks(kinds: np.ndarray) -> np.ndarray:
+    """Where the bytes ``kinds`` are line breaks, as str.splitlines finds them
+    in ASCII text: "\\n", "\\r", "\\v", "\\f" and "\\x1c" to "\\x1e"."""
+    return ((kinds >= 0x0A) & (kinds <= 0x0D)) | ((kinds >= 0x1C) & (kinds <= 0x1E))
+
+
+def _header_end(buf: np.ndarray) -> int:
+    """The offset after the first line of the CSV bytes buf, which hold a
+    line break. A header that differs from CSV_HEADER, each field stripped,
+    raises DataParseError."""
+    span = 64
+    while not (found := np.flatnonzero(_breaks(buf[:span]))).size:
+        span *= 2
+    end = int(found[0])
+    # a non-ASCII byte becomes U+FFFD, which no field of the header holds
+    text = buf[:end].tobytes().decode("ascii", "replace")
+    if tuple(col.strip() for col in text.split(",")) != CSV_HEADER:
+        raise DataParseError(f"expected header {','.join(CSV_HEADER)!r}, got {text!r}", line=1)
+    return end + 1 + int(buf[end] == ord("\r") and buf[end + 1] == ord("\n"))
+
+
+def _cut_lines(buf, start, seps, kinds):
+    """Cut the bytes from ``start`` to the last line break among ``seps``
+    into lines, as str.splitlines cuts them, and each line that is not blank
+    into fields at its commas. ``seps`` are the offsets of the bytes below
+    "," from ``start`` on, but for each "+" and each "\\r" that a "\\n"
+    follows; ``kinds`` are those bytes.
+
+    Returns None when no line break is among them. Otherwise returns the
+    rows' field ends (six per line that is not blank), each row's first
+    offset, each row's index among the lines, each line's break, and the
+    error message of the first line that is neither blank nor six fields
+    (None for none). The rows stop before that line, and its index follows
+    theirs.
+    """
+    brk = _breaks(kinds)
+    space = seps[(kinds == ord(" ")) | (kinds == ord("\t")) | (kinds == 0x1F)]
+    keep = brk | (kinds == ord(","))
+    seps, brk = seps[keep], brk[keep]
+    ends = np.flatnonzero(brk)  # each line's break among the separators
+    if not ends.size:
+        return None
+    last = seps[ends]
+    first = np.r_[start, last[:-1] + 1]
+    # a blank line holds whitespace alone, up to the "\r" of a "\r\n"
+    length = last - first - ((buf[last] == ord("\n")) & (buf[last - 1] == ord("\r")))
+    blank = np.searchsorted(space, last) - np.searchsorted(space, first) == length
+    commas = np.diff(ends, prepend=-1) - 1
+    bad = np.flatnonzero(~blank & (commas != len(CSV_HEADER) - 1))[:1]
+    at = np.flatnonzero(~blank[: bad[0] if bad.size else ends.size])
+    fields = seps[ends[at, None] + np.arange(1 - len(CSV_HEADER), 1)]
+    message = f"expected {len(CSV_HEADER)} fields, got {commas[bad[0]] + 1}" if bad.size else None
+    return fields, first[at], np.append(at, bad), last, message
+
+
+def _read_columns(buf: np.ndarray, size: int) -> ScenarioArrays:
+    """The dataset in the CSV bytes buf[:size], which buf follows with one
+    byte of room. The first fault raises DataParseError, as
+    read_dataset_csv describes, but for a non-ASCII byte."""
+    if size == 0:
+        raise DataParseError("empty dataset file", line=1)
     if buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")
         size += 1
+    buf = buf[:size]
+    start = _header_end(buf)
     span = _READ_BLOCK_BYTES
-    # every line ends in the one "\n" it holds, so the columns are allocated
-    # at their length up front, and no block's results wait to be joined
-    lines = sum(
-        int(np.count_nonzero(buf[at : min(at + span, size)] == ord("\n")))
-        for at in range(start, size, span)
+    # every row holds five commas, so the columns are allocated up front (at
+    # their length for the writer's file), and no block's results wait to
+    # be joined
+    commas = sum(
+        int(np.count_nonzero(buf[at : at + span] == ord(","))) for at in range(start, size, span)
     )
-    columns = {name: np.empty(lines, _COLUMN_DTYPES[name]) for name in CSV_HEADER}
-    done = 0
+    columns = {name: np.empty(commas // 5, dtype) for name, dtype in _COLUMN_DTYPES.items()}
+    row_lines = []  # per block, the line number of each of its rows
+    line, done = 2, 0
     while start < size:
-        stop = min(start + span, size)
-        seps = np.flatnonzero(buf[start:stop] <= ord(",")) + start
+        seps = np.flatnonzero(buf[start : start + span] <= ord(",")) + start
         kinds = buf[seps]
         # a "+" (the sign of an exponent, as in 1e+300) belongs to its field,
         # and a "\r" just before a "\n" to its line end
@@ -709,60 +777,74 @@ def _read_columns(buf: np.ndarray, size: int) -> dict[str, np.ndarray]:
         if drop.any():
             seps, kinds = seps[~drop], kinds[~drop]
         rows = seps.size // len(CSV_HEADER)
-        if stop == size and seps.size % len(CSV_HEADER):
-            raise _Unparsed
-        if rows == 0:
+        fields = seps[: rows * len(CSV_HEADER)].reshape(rows, len(CSV_HEADER))
+        if (
+            rows
+            and (start + span < size or not seps.size % len(CSV_HEADER))
+            and (kinds[: fields.size].reshape(rows, -1) == _LINE_SEPARATORS).all()
+        ):
+            # the writer's lines: six fields, ending in "\n"
+            first, at, last, bad = None, None, fields[:, -1], None
+        elif (cut := _cut_lines(buf, start, seps, kinds)) is None:
             span *= 2  # a line longer than the block
             continue
-        kinds = kinds[: rows * len(CSV_HEADER)].reshape(rows, -1)
-        if not (kinds == _LINE_SEPARATORS).all():
-            raise _Unparsed
-        ends = np.ascontiguousarray(seps[: rows * len(CSV_HEADER)].reshape(rows, -1).T)
+        else:
+            fields, first, at, last, bad = cut
+            rows = len(fields)
+        ends = np.ascontiguousarray(fields.T)
         starts = np.empty_like(ends)
         starts[1:] = ends[:-1] + 1
-        starts[0, 0] = start
-        starts[0, 1:] = ends[-1, :-1] + 1
-        start = int(ends[-1, -1]) + 1
+        if first is None:  # each row starts after the row before
+            starts[0, 0] = start
+            starts[0, 1:] = ends[-1, :-1] + 1
+        else:
+            starts[0] = first
+        row_lines.append(range(line, line + rows) if at is None else line + at)
+        line += last.size
+        # read before ends changes: for a block of one row, ends is a view of fields
+        start = int(last[-1]) + 1
         if cr.any():
             # a line's last field ends before its "\r\n"
             ends[-1] -= buf[ends[-1] - 1] == ord("\r")
-        # id, in one window word when every id field fits it; the three float
-        # columns in one pass; frame and choice in one
-        id_words = 1 if int(np.max(ends[0] - starts[0])) <= 8 else _WINDOW_WORDS
-        for cols, parse, convert in (
-            (slice(0, 1), partial(_parse_ints, words=id_words), _int64),
-            (slice(1, 4), _parse_floats, float),
-            (slice(4, 6), partial(_parse_ints, words=1), _int64),
-        ):
-            first, last = starts[cols].ravel(), ends[cols].ravel()
-            values, ok = parse(buf, first, last)
-            _convert_fields(buf, first, last, ok, values, convert)
-            for name, part in zip(CSV_HEADER[cols], values.reshape(-1, rows)):
-                columns[name][done : done + rows] = part
+        failed = _convert_rows(buf, starts, ends, columns, done) if rows else []
+        if failed or bad:
+            # the first field that does not convert comes before the bad line,
+            # and a scenario rule broken on a row before either is reported
+            row, _, message = min(failed, default=(rows, 0, bad))
+            lines = np.concatenate(row_lines)
+            prior = {name: col[: done + row] for name, col in columns.items()}
+            raise _rule_error(prior, lines) or DataParseError(message, line=int(lines[done + row]))
         done += rows
-    return columns
+    if not done:
+        raise DataParseError("dataset has a header but no rows", line=1)
+    columns = {name: col[:done] for name, col in columns.items()}
+    try:
+        return ScenarioArrays(**columns)
+    except InputError:
+        raise _rule_error(columns, np.concatenate(row_lines)) from None
 
 
 def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     """Load and validate a scenario CSV written by :func:`write_dataset_csv`.
 
-    The file is read once. When its first line is the writer's header and
-    every later line holds six comma-separated fields with no byte below ","
-    other than a "+" inside a field (any line may end in "\\r\\n" instead of
-    "\\n"), the fields are parsed in numpy: a field that is an optional "-"
-    and digits with at most one point is converted exactly (eight digits per
-    word operation, then the Eisel-Lemire step rounds each float correctly),
-    and any other field by float() or int() on its own. When those columns
-    break a :class:`ScenarioArrays` rule, the first row that breaks one
-    raises :class:`DataParseError` from them, with the line parser's message
-    and line number; a valid file pays for no such check. Any other file
-    (the header spelled otherwise, a space, a "\\r" that no "\\n" follows, a
-    blank line, or a field neither function takes) is parsed line by line:
-    blank lines are skipped, and the first bad line raises
-    :class:`DataParseError` naming its line number. A non-ASCII byte is
-    reported before any other fault. A missing file raises
-    ``dataset file not found: {path}``, and one that cannot be read (a
-    directory, say) ``dataset file unreadable: {reason}``.
+    The file is read once and parsed in one pass, a block of lines at a
+    time, as ``str.splitlines`` and ``str.split(",")`` would cut its ASCII
+    text: lines end at "\\n", "\\r\\n", "\\r", "\\v", "\\f" or "\\x1c" to
+    "\\x1e", and a line holding whitespace alone is skipped. The first line
+    must be the header, each field stripped. A field that is an optional "-"
+    and digits with at most one point is converted in numpy, exactly
+    (eight digits per word operation, then the Eisel-Lemire step rounds
+    each float correctly); any other field by float() or int() on its own.
+
+    The first fault raises :class:`DataParseError` naming its line: a line
+    that is neither blank nor six fields, a field that does not convert, or
+    a row that breaks a :class:`ScenarioArrays` rule, which is reported
+    before a later fault of either other kind. A non-ASCII byte is reported
+    before any other fault, an empty file raises ``empty dataset file`` and
+    a header without rows ``dataset has a header but no rows``. A valid file
+    pays for no line numbers. A missing file raises ``dataset file not
+    found: {path}``, and one that cannot be read (a directory, say)
+    ``dataset file unreadable: {reason}``.
     """
     path = Path(path)
     try:
@@ -775,26 +857,15 @@ def read_dataset_csv(path: str | Path) -> ScenarioArrays:
     except OSError as exc:
         raise DataParseError(f"dataset file unreadable: {exc}") from exc
     try:
-        columns = _read_columns(buf, size)
-    except _Unparsed:
-        pass
-    else:
-        try:
-            return ScenarioArrays(**columns)
-        except InputError:
-            # the numpy pass takes no blank line, so row r is on line r + 2
-            raise _rule_error(columns, range(2, len(columns["id"]) + 2)) from None
-    raw = buf[:size].tobytes()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError:
-        at = _NON_ASCII.search(raw).start()
+        return _read_columns(buf, size)
+    except DataParseError:
+        is_ascii = buf[:size] < 0x80
+        if is_ascii.all():
+            raise
+        at = int(np.argmin(is_ascii))
         # the line that holds the byte, counted as str.splitlines counts lines
-        line = len((raw[:at].decode("ascii") + "x").splitlines())
-        raise DataParseError(f"non-ASCII byte 0x{raw[at]:02x}", line=line) from None
-    # str.splitlines breaks lines at "\r\n" and "\r" as text mode's newline
-    # translation does, so the untranslated text splits into the same lines
-    return _parse_lines(text)
+        line = len((buf[:at].tobytes().decode("ascii") + "x").splitlines())
+        raise DataParseError(f"non-ASCII byte 0x{buf[at]:02x}", line=line) from None
 
 
 def _int64(text: str) -> int:
@@ -804,56 +875,6 @@ def _int64(text: str) -> int:
     return value
 
 
-def _parse_lines(text: str) -> ScenarioArrays:
-    """Parse CSV text one line at a time; the first bad line raises."""
-    lines = text.splitlines()
-    if not lines:
-        raise DataParseError("empty dataset file", line=1)
-    header = tuple(col.strip() for col in lines[0].split(","))
-    if header != CSV_HEADER:
-        raise DataParseError(
-            f"expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}", line=1
-        )
-    rows, line_numbers = [], []
-    parse_error = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER):
-            parse_error = DataParseError(
-                f"expected {len(CSV_HEADER)} fields, got {len(parts)}", line=lineno
-            )
-            break
-        try:
-            rows.append(
-                (
-                    _int64(parts[0]),
-                    float(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    _int64(parts[4]),
-                    _int64(parts[5]),
-                )
-            )
-        except ValueError as exc:
-            parse_error = DataParseError(str(exc), line=lineno)
-            break
-        line_numbers.append(lineno)
-    table = np.array(rows, dtype=_CSV_DTYPE)
-    columns = {name: np.ascontiguousarray(table[name]) for name in CSV_HEADER}
-    # a scenario rule broken on an earlier line is reported before a later
-    # parse error
-    error = _rule_error(columns, line_numbers)
-    if error is not None:
-        raise error
-    if parse_error is not None:
-        raise parse_error
-    if not rows:
-        raise DataParseError("dataset has a header but no rows", line=1)
-    return ScenarioArrays(**columns)
-
-
 def _rule_error(columns: dict[str, np.ndarray], line_numbers) -> DataParseError | None:
     """The error for the first row of ``columns`` that breaks a scenario
     rule, at its entry of ``line_numbers``; None when every row is valid."""
@@ -861,7 +882,7 @@ def _rule_error(columns: dict[str, np.ndarray], line_numbers) -> DataParseError 
     if bad is None:
         return None
     row, rule = bad
-    return DataParseError(f"scenario {columns['id'][row]}: {rule}", line=line_numbers[row])
+    return DataParseError(f"scenario {columns['id'][row]}: {rule}", line=int(line_numbers[row]))
 
 
 def metadata_path(csv_path: str | Path) -> Path:

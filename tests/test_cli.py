@@ -509,23 +509,52 @@ class TestUsage:
         assert run_cli("generate", "--frobnicate", "--out", str(tmp_path)) == 1
 
     def test_flag_sets(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        def commands(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return sub.choices
 
-        def flags(command):
-            return {f for a in sub.choices[command]._actions for f in a.option_strings} - {
-                "-h", "--help"
-            }
+        def flags(parser):
+            return {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
 
-        assert flags("generate") == {"--n", "--seed", "--true-coeffs", "--out"}
-        assert flags("fit") == {
-            "--tau-v", "--tau-eta", "--l2", "--restarts", "--cpt-seed", "--gamma-max", "--out"
+        top = commands(build_parser())
+        assert flags(top["generate"]) == {"--n", "--seed", "--true-coeffs", "--out"}
+        assert flags(top["fit"]) == set()
+        # each family's fit takes the flags of the settings it reads
+        assert {key: flags(p) for key, p in commands(top["fit"]).items()} == {
+            "symbolic": {"--tau-v", "--tau-eta", "--l2", "--out"},
+            "blackbox": {"--l2", "--out"},
+            "cpt": {"--restarts", "--cpt-seed", "--gamma-max", "--out"},
         }
-        assert flags("experiment") == {
+        assert flags(top["experiment"]) == {
             "--n", "--seed", "--true-coeffs", "--train-frac", "--split-seed", "--tau-v",
             "--tau-eta", "--l2", "--restarts",
             "--cpt-seed", "--gamma-max", "--no-svg", "--config", "--out",
         }
-        assert flags("evaluate") == {"--out"}
+        assert flags(top["evaluate"]) == {"--out"}
+
+    def test_fit_refuses_the_settings_its_family_does_not_read(self, tmp_path, capsys):
+        data = str(tmp_path / "d.csv")
+        assert run_cli("fit", "cpt", data, "--tau-v", "0.9") == 1
+        assert run_cli("fit", "blackbox", data, "--restarts", "3") == 1
+        assert "unrecognized arguments: --restarts 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_cli("fit", "symbolic", "--help")
+        usage = capsys.readouterr().out
+        assert "--tau-v" in usage
+        assert "--restarts" not in usage and "--gamma-max" not in usage
+        for argv, cfg in (
+            (
+                ["symbolic", "--tau-v", "0.2", "--tau-eta", "0.03", "--l2", "0.5"],
+                ExperimentConfig(tau_v=0.2, tau_eta=0.03, l2=0.5),
+            ),
+            (["blackbox", "--l2", "2"], ExperimentConfig(l2=2.0)),
+            (
+                ["cpt", "--restarts", "6", "--cpt-seed", "8", "--gamma-max", "4"],
+                ExperimentConfig(cpt=CptSettings(n_restarts=6, seed=8, gamma_max=4.0)),
+            ),
+        ):
+            args = build_parser().parse_args(["fit", argv[0], data, *argv[1:]])
+            assert _config(args, {}) == cfg
 
     def test_flags_set_their_config_fields(self):
         argv = [
@@ -772,7 +801,9 @@ class TestExitCodes:
         folder = _scratch(tmp_path_factory, "fit")
         path = folder / "data.csv"
         path.write_bytes(raw)
-        code = run_cli("fit", model, str(path), "--restarts", str(restarts), "--out", str(folder))
+        # only the CPT fit reads the restart count
+        flags = ["--restarts", str(restarts)] if model == "cpt" else []
+        code = run_cli("fit", model, str(path), *flags, "--out", str(folder))
         assert code in (0, 2, 3)
 
     @settings(max_examples=200)

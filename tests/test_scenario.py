@@ -32,7 +32,14 @@ from riskchoice.cli import main
 from riskchoice.features import SYMBOLIC_NAMES
 from riskchoice.glm import sigmoid
 from riskchoice import scenario as scenario_module
-from riskchoice.scenario import CSV_HEADER, RNG_ALGORITHM, read_metadata, write_metadata
+from riskchoice.scenario import (
+    CSV_HEADER,
+    RNG_ALGORITHM,
+    _int64,
+    _rule_error,
+    read_metadata,
+    write_metadata,
+)
 
 # SHA-256 of dataset.csv from `riskchoice generate --n 5000 --seed 42`
 GOLDEN_SEED42_SHA256 = "082f15fb582c58469fbb5ebffe43fe90136b7da8271e24db57e091545673481d"
@@ -265,9 +272,6 @@ def test_ids_of_up_to_eight_bytes_take_one_window_word(tmp_path, monkeypatch, bl
     # ids cross 10**8 inside a block and, with small blocks, between blocks;
     # a block whose id fields all fit 8 bytes (a sign included) reads them
     # from one window word, any other block from three
-    def line_parser(text):
-        raise AssertionError("the file went to the line parser")
-
     parse_ints = scenario_module._parse_ints
     words_seen = []
 
@@ -275,7 +279,6 @@ def test_ids_of_up_to_eight_bytes_take_one_window_word(tmp_path, monkeypatch, bl
         words_seen.append(words)
         return parse_ints(buf, starts, ends, words)
 
-    monkeypatch.setattr(scenario_module, "_parse_lines", line_parser)
     monkeypatch.setattr(scenario_module, "_parse_ints", recording)
     if block:
         monkeypatch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
@@ -580,6 +583,56 @@ def test_malformed_line_is_named(row, kind, pick, blank_before):
 # --- the reader's numpy kernel against the line-by-line parser ---
 
 
+def _parse_lines(text: str) -> ScenarioArrays:
+    """Parse CSV text one line at a time; the first bad line raises."""
+    lines = text.splitlines()
+    if not lines:
+        raise DataParseError("empty dataset file", line=1)
+    header = tuple(col.strip() for col in lines[0].split(","))
+    if header != CSV_HEADER:
+        raise DataParseError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}", line=1
+        )
+    rows, line_numbers = [], []
+    parse_error = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(CSV_HEADER):
+            parse_error = DataParseError(
+                f"expected {len(CSV_HEADER)} fields, got {len(parts)}", line=lineno
+            )
+            break
+        try:
+            rows.append(
+                (
+                    _int64(parts[0]),
+                    float(parts[1]),
+                    float(parts[2]),
+                    float(parts[3]),
+                    _int64(parts[4]),
+                    _int64(parts[5]),
+                )
+            )
+        except ValueError as exc:
+            parse_error = DataParseError(str(exc), line=lineno)
+            break
+        line_numbers.append(lineno)
+    table = np.array(rows, dtype=list(scenario_module._COLUMN_DTYPES.items()))
+    columns = {name: np.ascontiguousarray(table[name]) for name in CSV_HEADER}
+    # a scenario rule broken on an earlier line is reported before a later
+    # parse error
+    error = _rule_error(columns, line_numbers)
+    if error is not None:
+        raise error
+    if parse_error is not None:
+        raise parse_error
+    if not rows:
+        raise DataParseError("dataset has a header but no rows", line=1)
+    return ScenarioArrays(**columns)
+
+
 def reference_read(path):
     """What reading ``path`` gives by the line-by-line parser alone: its
     columns, or the message of the DataParseError it raises."""
@@ -588,7 +641,7 @@ def reference_read(path):
     except UnicodeDecodeError:
         return "non-ASCII"
     try:
-        return scenario_module._parse_lines(text)
+        return _parse_lines(text)
     except DataParseError as exc:
         return str(exc)
 
@@ -674,23 +727,44 @@ def csv_files(draw):
         col, value = draw(st.sampled_from(RULE_BREAKS))
         rows[row][col] = value
     header = draw(
-        st.sampled_from([",".join(CSV_HEADER)] * 4 + ["id, safe,risky,p,frame,choice", "ID,safe"])
+        st.sampled_from(
+            [",".join(CSV_HEADER)] * 4
+            + ["id, safe,risky,p,frame,choice", " id,safe,risky,p,frame,choice\t", "ID,safe"]
+        )
     )
     lines = [header] + [",".join(row) for row in rows]
     breaks = ["\n"] * len(lines)
     for _ in range(draw(st.integers(0, 2))):
         breaks[draw(st.integers(0, len(lines) - 1))] = draw(
-            st.sampled_from(["\r\n", "\n\n", "\n  \n", "\x0c", "\r", "\n\x0b\n", ",\n"])
+            st.sampled_from(
+                [
+                    "\r\n", "\n\n", "\n  \n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r",
+                    "\r\r\n", "\n\x0b\n", "\n\t\n", "\n\x1f\n", ",\n",
+                ]
+            )
         )
     if draw(st.booleans()) and draw(st.booleans()):
-        breaks[-1] = ""
+        breaks[-1] = draw(st.sampled_from(["", "\r"]))
     return "".join(line + end for line, end in zip(lines, breaks)).encode("utf-8")
+
+
+# the writer's bytes for a few rows
+WRITER_TEXT = reference_csv(generate_dataset(GeneratorConfig(n=30, seed=3)))
 
 
 @settings(max_examples=300)
 @given(raw=csv_files(), block=st.sampled_from([None, 64, 200]))
 @example(raw=(",".join(CSV_HEADER) + "\n1,1.2.3,2,0.5,1,0\n").encode(), block=None)
 @example(raw=(",".join(CSV_HEADER) + "\n1,1.5,2,0.5,1,0").encode(), block=None)
+# the writer's file with a blank last line, and with a space after its header
+@example(raw=(WRITER_TEXT + "\n").encode(), block=None)
+@example(raw=WRITER_TEXT.replace("choice\n", "choice \n", 1).encode(), block=64)
+# a header line longer than the 64 bytes first searched for its end
+@example(raw=WRITER_TEXT.replace("choice\n", "choice" + " " * 60 + "\r\n", 1).encode(), block=None)
+# a no-break space (which str.strip would strip) ending the header, before a
+# bad line; a non-ASCII byte on a line after a bad line
+@example(raw=(",".join(CSV_HEADER) + "\u00a0\n1,2\n").encode(), block=None)
+@example(raw=(",".join(CSV_HEADER) + "\n1,2\n3,\u00e9\n").encode(), block=None)
 def test_reader_matches_the_line_parser(raw, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
@@ -711,10 +785,10 @@ def test_header_alone_has_no_rows_whatever_follows_the_file(tmp_path):
         read_dataset_csv(path)
     # the spare byte after the file is not part of it, even where it reads "\n"
     buf = np.frombuffer(header + b"\n", np.uint8).copy()
-    with pytest.raises(scenario_module._Unparsed):
+    with pytest.raises(DataParseError, match="^line 1: dataset has a header but no rows$"):
         scenario_module._read_columns(buf, len(header))
     buf = np.frombuffer(header + b"\r\n", np.uint8).copy()
-    with pytest.raises(scenario_module._Unparsed):
+    with pytest.raises(DataParseError, match="^line 1: dataset has a header but no rows$"):
         scenario_module._read_columns(buf, len(header) + 1)
 
 
@@ -728,10 +802,6 @@ def test_two_points_are_a_parse_error(tmp_path):
 
 @pytest.mark.parametrize("block", [None, 64, 1000])
 def test_writer_output_takes_the_numpy_path(tmp_path, monkeypatch, block):
-    def line_parser(text):
-        raise AssertionError("the file went to the line parser")
-
-    monkeypatch.setattr(scenario_module, "_parse_lines", line_parser)
     if block:
         monkeypatch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
     rng = np.random.Generator(np.random.PCG64(8))
@@ -757,11 +827,40 @@ def test_writer_output_takes_the_numpy_path(tmp_path, monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [None, 64])
+def test_kernel_converts_every_row_of_files_the_writer_did_not_write(tmp_path, monkeypatch, block):
+    # a blank last line, a space after the header's last field, and "\r"
+    # line ends: each line is cut apart where the writer's is, and each of
+    # its floats taken by the kernel
+    parse_floats = scenario_module._parse_floats
+    taken = []
+
+    def recording(buf, starts, ends):
+        values, ok = parse_floats(buf, starts, ends)
+        taken.append(ok.reshape(3, -1).all(axis=0))
+        return values, ok
+
+    monkeypatch.setattr(scenario_module, "_parse_floats", recording)
+    if block:
+        monkeypatch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
+    data = generate_dataset(GeneratorConfig(n=3000, seed=4))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(data, path)
+    raw = path.read_bytes()
+    for variant in (
+        raw + b"\n",
+        raw.replace(b"choice\n", b"choice \n", 1),
+        raw.replace(b"\n", b"\r"),
+    ):
+        path.write_bytes(variant)
+        taken.clear()
+        assert_same_columns(read_dataset_csv(path), data)
+        rows = np.concatenate(taken)
+        assert rows.size == len(data) and rows.all()
+
+
+@pytest.mark.parametrize("block", [None, 64])
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 def test_rule_breaking_row_is_named_without_the_line_parser(tmp_path, monkeypatch, end, block):
-    def line_parser(text):
-        raise AssertionError("the file went to the line parser")
-
     path = tmp_path / "d.csv"
     write_dataset_csv(generate_dataset(GeneratorConfig(n=200, seed=6)), path)
     header, *body = path.read_text().splitlines()
@@ -781,7 +880,6 @@ def test_rule_breaking_row_is_named_without_the_line_parser(tmp_path, monkeypatc
         want = f"line 139: scenario 137: {rules[col]}"
         assert reference_read(path) == want
         with monkeypatch.context() as patch:
-            patch.setattr(scenario_module, "_parse_lines", line_parser)
             if block:
                 patch.setattr(scenario_module, "_READ_BLOCK_BYTES", block)
             with pytest.raises(DataParseError) as info:
