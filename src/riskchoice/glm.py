@@ -6,7 +6,8 @@ log-likelihood. It stops on half the Newton decrement, as the CPT fit does
 on the columns' scales, and its rounding floor stays far below the tolerance
 at any n. The optional L2 penalty never touches the intercept, which by
 convention is column 0 of the design matrix. The covariance of the estimates
-is the inverse of the negative penalized Hessian at the optimum.
+is the inverse of the negative penalized Hessian at the optimum; a fit that
+separates the classes has no optimum and reports none.
 
 One kernel, ``_pass``, computes the log-likelihood, gradient and Hessian
 together in a single pass over the rows, ``_BLOCK_ROWS`` at a time. It reads
@@ -171,8 +172,10 @@ class FittedLogistic:
     """A fitted logistic regression model.
 
     ``log_likelihood`` is the unpenalized value at the estimates.
-    ``covariance`` is None when the information matrix could not be inverted;
-    ``diagnostics`` then says why, as it does for suspected separation.
+    ``covariance``, and with it ``std_errors``, is None when the fit
+    separates the classes, since the estimates then sit at no maximum, or
+    when the information matrix could not be inverted; ``diagnostics`` then
+    says which.
     """
 
     feature_names: tuple[str, ...]
@@ -260,7 +263,7 @@ def fit_logistic(
     NumericalError
         If the normal equations are singular (collinear design). Perfect
         separation is not an error: it returns a non-converged fit with a
-        "possible separation" diagnostic.
+        "possible separation" diagnostic and no covariance.
     """
     X, y, _ = _check_inputs(X, y, l2_strength)
     if not 0.0 <= tol < np.inf:
@@ -334,22 +337,22 @@ def fit_logistic(
     # all margins strictly positive with no penalty means every observation
     # sits on the correct side: the likelihood improves without bound along
     # the separating direction, so a small gradient there is saturation, not
-    # a maximum
+    # a maximum, and the inverse information there is no Wald covariance
+    cov = None
     if l2_strength == 0.0 and _separates(XT, y, beta):
         converged = False
         diagnostics.append(
             "possible separation: all observations classified perfectly, "
             "coefficients diverge without regularization"
         )
-    elif not converged and np.max(np.abs(beta)) > 1e3:
-        diagnostics.append("coefficients diverging; model may be ill-posed")
-
-    try:
-        cov = np.linalg.inv(-hess)
-        cov = (cov + cov.T) / 2.0
-    except np.linalg.LinAlgError:
-        cov = None
-        diagnostics.append("covariance unavailable: singular information matrix")
+    else:
+        if not converged and np.max(np.abs(beta)) > 1e3:
+            diagnostics.append("coefficients diverging; model may be ill-posed")
+        try:
+            cov = np.linalg.inv(-hess)
+            cov = (cov + cov.T) / 2.0
+        except np.linalg.LinAlgError:
+            diagnostics.append("covariance unavailable: singular information matrix")
 
     return FittedLogistic(
         feature_names=feature_names,

@@ -1,10 +1,13 @@
 """End-to-end experiment: generate, split, fit, evaluate, emit.
 
 The three model families are records in ``MODELS``: each says how it is
-fit, how its saved document scores scenarios, and which rows its
-coefficient table holds, and the CLI and the pipeline reach a family only
-through its record. The symbolic family's fit is effect-size screening on
-the training rows followed by a logistic fit on the kept columns.
+fit, how its saved document scores scenarios, which rows its coefficient
+table holds, and which files and ``report.json`` entries an experiment
+writes for it beyond its model file (``Family.extras``). The CLI and the
+pipeline reach a family only through its record. The symbolic family's fit
+is effect-size screening on the training rows followed by a logistic fit on
+the kept columns; its extras are the screening report and the reflection
+figure. The CPT family's extras are its value and weighting curves.
 
 The pipeline writes every artifact with fixed float formatting and no
 timestamps, so a rerun with the same configuration produces byte-identical
@@ -193,6 +196,12 @@ class Family(NamedTuple):
     name: str
     interpretability: str
 
+    def extras(self, fit, train: ScenarioArrays, cfg: ExperimentConfig):
+        """What an experiment writes for this family beyond its model file:
+        a list of ``(file name, text)`` and a dict of ``report.json``
+        entries. A family writes none unless its record says otherwise."""
+        return [], {}
+
 
 class _Logistic(Family):
     def probs(self, doc: dict, arrays: ScenarioArrays) -> np.ndarray:
@@ -222,6 +231,35 @@ class _Symbolic(_Logistic):
         screening = select_features(train, tau_v=cfg.tau_v, tau_eta=cfg.tau_eta)
         return SymbolicFit(screening, _logistic_fit(train, screening.retained_names(), cfg))
 
+    def extras(self, fit: SymbolicFit, train: ScenarioArrays, cfg: ExperimentConfig):
+        """The screening report, and the reflection figure: predicted
+        P(risky) against frame with the other features pinned."""
+        screening = fit.screening.to_json_list()
+        magnitude = float(np.median(design_matrix(train, ("magnitude",))))
+        held = {"low_prob": 0.0, "magnitude": magnitude, "dominance": 0.0}
+        rows = []
+        for frame in (-1.0, 1.0):
+            x = {"intercept": 1.0, "frame": frame, **held}
+            values = np.array([x[name] for name in fit.feature_names])
+            rows.append((frame, float(sigmoid(float(values @ fit.coeffs)))))
+        notes = [
+            "predicted risky-choice probability by frame, other features held fixed:",
+            ", ".join(f"{k}={_fmt(v)}" for k, v in held.items()),
+        ]
+        files = [("effect_sizes.json", json_text(screening))]
+        files += _figure(
+            "reflection", notes, ("frame", "p_risky"), rows, cfg,
+            "Risky-choice probability by frame", "frame", "P(risky)",
+        )
+        return files, {
+            "effect_sizes": screening,
+            "retained_features": list(fit.screening.retained_names()),
+            "reflection": {
+                "held": held,
+                "p_risky_by_frame": {str(int(f)): p for f, p in rows},
+            },
+        }
+
 
 class _Blackbox(_Logistic):
     settings = ("l2",)
@@ -243,6 +281,20 @@ class _Cpt(Family):
     def rows(self, fit: cpt_mod.CptFit):
         return zip(cpt_mod.PARAM_NAMES, fit.params.as_tuple(), fit.std_errors)
 
+    def extras(self, fit: cpt_mod.CptFit, train: ScenarioArrays, cfg: ExperimentConfig):
+        """The estimated value and probability weighting curves."""
+        value_curve = cpt_mod.sample_value_curve(fit.params)
+        weight_curve = cpt_mod.sample_weight_curve(fit.params)
+        files = _figure(
+            "value_curve", (), ("x", "v"), value_curve, cfg,
+            "Estimated value function", "x", "v(x)",
+        )
+        files += _figure(
+            "weight_curve", (), ("p", "w"), weight_curve, cfg,
+            "Estimated probability weighting", "p", "w(p)", diagonal=True,
+        )
+        return files, {}
+
 
 # The three model families, in table order.
 MODELS = {
@@ -259,7 +311,7 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
     Raises
     ------
     DataParseError
-        If the document is not a well-formed model of one of MODEL_KEYS.
+        If the document is not a well-formed model of a family in MODELS.
     NumericalError
         If a probability is not finite: the model's latent utility
         overflows on ``arrays`` to inf - inf.
@@ -267,7 +319,7 @@ def model_probs(doc, arrays: ScenarioArrays) -> np.ndarray:
     if not isinstance(doc, dict):
         raise DataParseError("model JSON must hold an object")
     key = doc.get("model")
-    if key not in MODEL_KEYS:
+    if not isinstance(key, str) or key not in MODELS:
         raise DataParseError(f"model JSON has unknown model kind {key!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         probs = MODELS[key].probs(doc, arrays)
@@ -319,37 +371,29 @@ def _csv_text(comments, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reflection_rows(model: FittedLogistic, magnitude_median: float) -> dict:
-    """Predicted P(risky) against frame with the other features pinned."""
-    held = {
-        "intercept": 1.0,
-        "low_prob": 0.0,
-        "magnitude": magnitude_median,
-        "dominance": 0.0,
-    }
-    rows = []
-    for frame in (-1.0, 1.0):
-        values = np.array(
-            [frame if name == "frame" else held[name] for name in model.feature_names]
-        )
-        rows.append((frame, float(sigmoid(float(values @ model.coeffs)))))
-    return {
-        "held": {k: held[k] for k in ("low_prob", "magnitude", "dominance")},
-        "rows": rows,
-    }
+def _figure(name, notes, header, rows, cfg, title, x_label, y_label, diagonal=False):
+    """A figure's files: ``name.csv``, its comments ``notes``, ``header`` and
+    ``rows``, and, when ``cfg.emit_svg`` is set, ``name.svg``, the rows drawn
+    as a line chart (see charts.svg_line_chart)."""
+    files = [(f"{name}.csv", _csv_text(notes, header, rows))]
+    if cfg.emit_svg:
+        svg = svg_line_chart(rows, title, x_label, y_label, diagonal=diagonal)
+        files.append((f"{name}.svg", svg))
+    return files
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run the whole pipeline and write all artifacts under ``out_dir``.
 
-    Stages: generate the dataset, split it, fit each family of MODELS on
-    the training side (the symbolic fit screens the features first), save
-    the screening report and the fits, score all three on the test side, and
-    emit the dataset, the comparison table, curve CSVs (plus SVG renderings
-    unless disabled), and a JSON report that echoes the config. Screening
-    sees only the training side, so the test rows take no part in choosing
-    the features that are scored on them. Returns the report document, as
-    written to ``report.json``.
+    Stages: ``generate`` writes the dataset and its metadata; ``split``
+    splits it; ``fit_<key>`` fits each family of MODELS on the training side
+    (the symbolic fit screens the features first, so the test rows take no
+    part in choosing the features that are scored on them); ``save_fits``
+    writes, record by record, the model file and then the files of the
+    record's ``extras``; ``evaluate`` scores every family on the test side
+    and writes the comparison table; ``report`` writes ``report.json``: the
+    config, each family's fit and metrics, the records' extra entries and
+    the manifest. Returns the report document, as written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -376,72 +420,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             fits[key] = family.fit(train, cfg)
 
         stage = "save_fits"
-        screening = fits["symbolic"].screening
-        emit("effect_sizes.json", json_text(screening.to_json_list()))
-        docs = {key: model_doc(key, fit) for key, fit in fits.items()}
-        for key, doc in docs.items():
-            emit(f"{key}_model.json", json_text(doc))
+        docs, entries = {}, {}
+        for key, family in MODELS.items():
+            docs[key] = model_doc(key, fits[key])
+            emit(f"{key}_model.json", json_text(docs[key]))
+            files, more = family.extras(fits[key], train, cfg)
+            for name, text in files:
+                emit(name, text)
+            entries.update(more)
 
         stage = "evaluate"
         metrics = {
-            key: evaluate_predictions(key, model_probs(docs[key], test), test.choice)
-            for key in MODEL_KEYS
+            key: evaluate_predictions(key, model_probs(doc, test), test.choice)
+            for key, doc in docs.items()
         }
         columns = ("model", "accuracy", "auc", "interpretability")
         rows = [[m[k] for k in columns] for m in metrics.values()]
         emit("table1.csv", _csv_text([_TABLE1_NOTE], columns, rows))
 
-        stage = "reflection"
-        magnitude_median = float(np.median(design_matrix(train, ("magnitude",))))
-        reflection = _reflection_rows(fits["symbolic"], magnitude_median)
-        held = ", ".join(f"{k}={_fmt(v)}" for k, v in reflection["held"].items())
-        notes = ["predicted risky-choice probability by frame, other features held fixed:", held]
-        emit("reflection.csv", _csv_text(notes, ("frame", "p_risky"), reflection["rows"]))
-
-        stage = "curves"
-        cpt_params = fits["cpt"].params
-        value_curve = cpt_mod.sample_value_curve(cpt_params)
-        weight_curve = cpt_mod.sample_weight_curve(cpt_params)
-        emit("value_curve.csv", _csv_text((), ("x", "v"), value_curve))
-        emit("weight_curve.csv", _csv_text((), ("p", "w"), weight_curve))
-        if cfg.emit_svg:
-            emit(
-                "value_curve.svg",
-                svg_line_chart(value_curve, "Estimated value function", "x", "v(x)"),
-            )
-            emit(
-                "weight_curve.svg",
-                svg_line_chart(
-                    weight_curve,
-                    "Estimated probability weighting",
-                    "p",
-                    "w(p)",
-                    diagonal=True,
-                ),
-            )
-            emit(
-                "reflection.svg",
-                svg_line_chart(
-                    np.asarray(reflection["rows"]),
-                    "Risky-choice probability by frame",
-                    "frame",
-                    "P(risky)",
-                ),
-            )
-
         stage = "report"
         report_doc = {
             "config": cfg.to_json_dict(),
-            "effect_sizes": screening.to_json_list(),
-            "retained_features": list(screening.retained_names()),
             "models": {
-                key: {"fit": fits[key].to_json_dict(), "metrics": metrics[key]}
-                for key in MODEL_KEYS
+                key: {"fit": fit.to_json_dict(), "metrics": metrics[key]}
+                for key, fit in fits.items()
             },
-            "reflection": {
-                "held": reflection["held"],
-                "p_risky_by_frame": {str(int(f)): p for f, p in reflection["rows"]},
-            },
+            **entries,
             "manifest": list(manifest),
         }
         (out / "report.json").write_text(json_text(report_doc), encoding="ascii")

@@ -194,6 +194,16 @@ class TestFit:
         assert caplog.messages[0].startswith("possible separation: ")
         assert json.loads((tmp_path / "symbolic_model.json").read_text())["converged"] is False
 
+    def test_separated_fit_prints_undefined_standard_errors(self, tmp_path, capsys):
+        data = generate_dataset(GeneratorConfig(n=200, seed=3))
+        path = tmp_path / "separable.csv"
+        write_dataset_csv(replace(data, choice=(data.frame == -1).astype(np.int64)), path)
+        assert run_cli("fit", "symbolic", str(path), "--out", str(tmp_path)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert rows and all(line.split()[-1] == "undefined" for line in rows)
+        doc = json.loads((tmp_path / "symbolic_model.json").read_text())
+        assert doc["std_errors"] is None and doc["covariance"] is None
+
     def test_missing_probability_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,safe,risky,frame,choice\n0,1,2,1,0\n")
@@ -304,6 +314,13 @@ class TestEvaluate:
         assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("kind", [["cpt"], {"cpt": 1}, 3, None])
+    def test_model_kind_of_another_json_type_is_unknown(self, dataset_csv, tmp_path, capsys, kind):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({"model": kind, "features": ["intercept"], "coeffs": [0]}))
+        assert run_cli("evaluate", str(model_path), str(dataset_csv), "--out", str(tmp_path)) == 2
+        assert "unknown model kind" in capsys.readouterr().err
 
     def test_unknown_feature_name_is_input_error(self, dataset_csv, tmp_path):
         model_path = tmp_path / "weird.json"

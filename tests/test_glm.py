@@ -256,7 +256,31 @@ class TestFitLogistic:
         assert fit.covariance is None and fit.std_errors is None
         doc = fit.to_json_dict()
         assert doc["std_errors"] is None and doc["covariance"] is None
-        assert "covariance unavailable: singular information matrix" in fit.diagnostics
+        # separation is the reason: no inversion is tried
+        assert [d.split(":")[0] for d in fit.diagnostics] == ["possible separation"]
+
+    def test_uninvertible_information_reports_no_standard_errors(self):
+        # an unseparated fit whose final information matrix is exactly
+        # singular is not known to occur, so the inversion is made to fail
+        X, y = WELL_POSED
+        with mock.patch.object(np.linalg, "inv", side_effect=np.linalg.LinAlgError):
+            fit = fit_logistic(X, y)
+        assert fit.converged
+        assert fit.covariance is None and fit.std_errors is None
+        assert fit.diagnostics == ["covariance unavailable: singular information matrix"]
+
+    def test_separated_fit_reports_no_standard_errors(self):
+        # the information matrix at the separated estimates still inverts,
+        # but its inverse is no Wald covariance: the estimates sit at no
+        # maximum
+        fit = fit_logistic(SEPARABLE_X, SEPARABLE_Y)
+        _, hess = gradient_and_hessian(fit.coeffs, SEPARABLE_X, SEPARABLE_Y)
+        assert np.all(np.isfinite(np.linalg.inv(-hess)))
+        assert not fit.converged
+        assert [d.split(":")[0] for d in fit.diagnostics] == ["possible separation"]
+        assert fit.covariance is None and fit.std_errors is None
+        doc = fit.to_json_dict()
+        assert doc["std_errors"] is None and doc["covariance"] is None
 
     def test_tiny_column_reports_diverging_coefficients(self):
         # no tolerance: the fit runs to the step cap, and the slope of a

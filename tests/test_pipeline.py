@@ -276,6 +276,46 @@ class TestRun:
         assert train_acc >= test_acc - 0.02
 
 
+class TestRecords:
+    """run_experiment reaches a family only through its MODELS record."""
+
+    def test_one_record_alone_writes_a_complete_run(self, tmp_path, monkeypatch):
+        from riskchoice import pipeline
+
+        monkeypatch.setattr(pipeline, "MODELS", {"blackbox": pipeline.MODELS["blackbox"]})
+        report = run_experiment(small_config(), tmp_path)
+        assert report["manifest"] == [
+            "dataset.csv",
+            "dataset.meta.json",
+            "blackbox_model.json",
+            "table1.csv",
+        ]
+        assert set(report) == {"config", "models", "manifest"}
+        assert list(report["models"]) == ["blackbox"]
+        assert report == json.loads((tmp_path / "report.json").read_text())
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
+        assert [l.split(",")[0] for l in lines[2:]] == ["Black-box"]
+
+    def test_a_record_writes_its_own_extras(self, tmp_path, monkeypatch):
+        from riskchoice import pipeline
+
+        blackbox = pipeline.MODELS["blackbox"]
+
+        class _Stub(type(blackbox)):
+            def extras(self, fit, train, cfg):
+                return [("stub.txt", f"{len(train)} rows\n")], {"stub": {"n": len(train)}}
+
+        monkeypatch.setitem(pipeline.MODELS, "stub", _Stub("Stub", "None"))
+        cfg = small_config(emit_svg=False)
+        report = run_experiment(cfg, tmp_path)
+        n_train = cfg.generator.n - report["models"]["stub"]["metrics"]["n_test"]
+        assert report["manifest"][-3:] == ["stub_model.json", "stub.txt", "table1.csv"]
+        assert (tmp_path / "stub.txt").read_text() == f"{n_train} rows\n"
+        assert report["stub"] == {"n": n_train}
+        assert list(report)[-2:] == ["stub", "manifest"]
+        assert report == json.loads((tmp_path / "report.json").read_text())
+
+
 class TestFailureHandling:
     def test_partial_report_on_stage_failure(self, tmp_path):
         cfg = ExperimentConfig(
